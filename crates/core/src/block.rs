@@ -10,9 +10,13 @@
 //! * the **per-bit** reference ([`embed`]/[`extract`]), a literal
 //!   transcription of the pseudocode used by tests and cross-checks;
 //! * the **word-level** fast path ([`SpanTable`]/[`SpanEntry`]): the span
-//!   location and XOR pattern depend only on the key pair and the vector's
-//!   high byte, so both are precomputed into a 256-entry table per pair
-//!   and each block becomes a handful of shift/mask operations on `u16`s.
+//!   location and XOR pattern depend only on the algorithm, the key pair
+//!   and the vector's high byte, so both are precomputed once per process
+//!   into a 256-entry row per key pair, and each block becomes a handful
+//!   of shift/mask operations on `u16`s. Like the paper's fixed locate
+//!   and scramble logic, the rows are shared; a key only selects them.
+
+use std::sync::OnceLock;
 
 use crate::key::MAX_PAIRS;
 use crate::{Algorithm, Key, KeyPair};
@@ -183,45 +187,72 @@ impl SpanEntry {
     }
 }
 
-/// Per-pair span tables for a whole key schedule.
-///
-/// `table.entry(i, hb)` is the span for block index `i` (cycling through
-/// the schedule) and hiding-vector high byte `hb`. Building a table costs
-/// `256 × schedule length` [`scramble_locations`] evaluations once per
-/// session; after that the engines never recompute a span.
+/// The 256-entry span row of every key pair under `algorithm` (pair
+/// `(left, right)` is row `(left << 3) | right`), built on first use and
+/// then shared by every table in the process: 64 rows, 96 KiB.
+fn pair_spans(algorithm: Algorithm) -> &'static [[SpanEntry; 256]] {
+    static HHEA: OnceLock<Vec<[SpanEntry; 256]>> = OnceLock::new();
+    static MHHEA: OnceLock<Vec<[SpanEntry; 256]>> = OnceLock::new();
+    let cell = match algorithm {
+        Algorithm::Hhea => &HHEA,
+        Algorithm::Mhhea => &MHHEA,
+    };
+    cell.get_or_init(|| {
+        (0..64u8)
+            .map(|code| {
+                let pair = KeyPair::new(code >> 3, code & 7).expect("3-bit halves");
+                core::array::from_fn(|hb| SpanEntry::new(algorithm, pair, hb as u8))
+            })
+            .collect()
+    })
+}
+
+/// A key schedule's span rows: a view holding one process-wide row per
+/// schedule position, so building one computes no span and owns no heap
+/// memory. `table.entry(i, hb)` is the span for block index `i` (cycling
+/// through the schedule) and hiding-vector high byte `hb`.
 #[derive(Debug, Clone)]
 pub struct SpanTable {
-    /// One 256-entry table per schedule position.
-    per_pair: Vec<[SpanEntry; 256]>,
+    /// The row of each schedule position (positions past `len` repeat
+    /// the cycle and are never read).
+    rows: [&'static [SpanEntry; 256]; MAX_PAIRS],
+    len: usize,
 }
 
 impl SpanTable {
-    /// Builds the table for `key`'s pair cycle under `algorithm`.
+    /// The table for `key`'s pair cycle under `algorithm`.
     pub fn new(key: &Key, algorithm: Algorithm) -> Self {
-        let per_pair = key
-            .pairs()
-            .iter()
-            .map(|&pair| core::array::from_fn(|hb| SpanEntry::new(algorithm, pair, hb as u8)))
-            .collect();
-        SpanTable { per_pair }
+        SpanTable::cycled(key, algorithm, key.len())
     }
 
-    /// The table for the hardware key schedule ([`Key::expand_cyclic`] to
-    /// the 16-deep key cache).
+    /// The table for the hardware key schedule: `key` cycled to the
+    /// 16-deep key cache ([`Key::expand_cyclic`]).
     pub fn new_hw(key: &Key, algorithm: Algorithm) -> Self {
-        SpanTable::new(&key.expand_cyclic(MAX_PAIRS), algorithm)
+        SpanTable::cycled(key, algorithm, MAX_PAIRS)
+    }
+
+    fn cycled(key: &Key, algorithm: Algorithm, len: usize) -> Self {
+        let spans = pair_spans(algorithm);
+        let row = |i| {
+            let (left, right) = key.pair(i).halves();
+            &spans[((left as usize) << 3) | right as usize]
+        };
+        SpanTable {
+            rows: core::array::from_fn(row),
+            len,
+        }
     }
 
     /// Number of schedule positions.
     pub fn schedule_len(&self) -> usize {
-        self.per_pair.len()
+        self.len
     }
 
     /// The span for block index `block_index` and vector high byte
     /// `high_byte`.
     #[inline]
     pub fn entry(&self, block_index: usize, high_byte: u8) -> SpanEntry {
-        self.per_pair[block_index % self.per_pair.len()][high_byte as usize]
+        self.rows[block_index % self.len][high_byte as usize]
     }
 }
 
@@ -347,34 +378,68 @@ mod tests {
         assert_eq!(extract(Algorithm::Hhea, p, 0x00FF, 0), Vec::<bool>::new());
     }
 
+    /// Checks one table entry against the per-bit primitives: span
+    /// location, pattern, mask, full-width embed and extraction.
+    fn check_entry(e: SpanEntry, alg: Algorithm, p: KeyPair, hb: u8) {
+        let v = ((hb as u16) << 8) | 0x36;
+        let (lo, hi) = locations(alg, p, v);
+        assert_eq!(
+            (e.lo, e.lo + e.width - 1),
+            (lo, hi),
+            "alg={alg} {p} hb={hb:02x}"
+        );
+        assert_eq!(e.mask, word::mask16(lo as u32, hi as u32));
+        for j in 0..e.width {
+            let bit = (e.pattern >> (e.lo + j)) & 1 == 1;
+            assert_eq!(bit, pattern_bit(alg, p, j as usize), "alg={alg} {p} j={j}");
+        }
+        assert_eq!(e.pattern & !e.mask, 0);
+        let message = [true, false, true, true, false, false, true, true];
+        let mut it = message.into_iter();
+        let per_bit = embed(alg, p, v, &mut it);
+        let mut word_bits = 0u16;
+        for (j, &m) in message.iter().take(per_bit.consumed).enumerate() {
+            word_bits |= (m as u16) << j;
+        }
+        let word_cipher = e.embed(v, word_bits, per_bit.consumed);
+        assert_eq!(word_cipher, per_bit.cipher, "alg={alg} {p} hb={hb:02x}");
+        assert_eq!(e.extract(word_cipher, per_bit.consumed), word_bits);
+    }
+
     #[test]
     fn span_entries_match_per_bit_primitives() {
-        let key = crate::Key::from_nibbles(&[(0, 3), (7, 2), (4, 4), (0, 7)]).unwrap();
+        // The shared rows serve every key, so check all of them: every
+        // (left, right) pair, every high byte, both algorithms, through
+        // both the streaming and the hardware schedule. Four 16-pair keys
+        // cover the 64 pairs, each at every schedule position.
         for alg in [Algorithm::Hhea, Algorithm::Mhhea] {
-            let table = SpanTable::new(&key, alg);
-            assert_eq!(table.schedule_len(), key.len());
-            for i in 0..key.len() {
-                for hb in [0x00u8, 0x5A, 0xCA, 0xFF] {
-                    let v = ((hb as u16) << 8) | 0x36;
-                    let e = table.entry(i, hb);
-                    let (lo, hi) = locations(alg, key.pair(i), v);
-                    assert_eq!((e.lo, e.lo + e.width - 1), (lo, hi));
-                    // Full-width embed agrees with the per-bit reference.
-                    let message = [true, false, true, true, false, false, true, true];
-                    let mut it = message.into_iter();
-                    let per_bit = embed(alg, key.pair(i), v, &mut it);
-                    let mut word_bits = 0u16;
-                    for (j, &m) in message.iter().take(per_bit.consumed).enumerate() {
-                        word_bits |= (m as u16) << j;
+            for first in (0..64u8).step_by(16) {
+                let nibbles: Vec<(u8, u8)> = (first..first + 16).map(|c| (c >> 3, c & 7)).collect();
+                let key = crate::Key::from_nibbles(&nibbles).unwrap();
+                let table = SpanTable::new(&key, alg);
+                let hw = SpanTable::new_hw(&key, alg);
+                assert_eq!(table.schedule_len(), key.len());
+                for i in 0..key.len() {
+                    for hb in 0..=255u8 {
+                        check_entry(table.entry(i, hb), alg, key.pair(i), hb);
+                        check_entry(hw.entry(i, hb), alg, key.pair(i), hb);
                     }
-                    let word_cipher = e.embed(v, word_bits, per_bit.consumed);
-                    assert_eq!(word_cipher, per_bit.cipher, "alg={alg} i={i} hb={hb:02x}");
-                    // And extraction inverts it.
-                    let got = e.extract(word_cipher, per_bit.consumed);
-                    assert_eq!(got, word_bits);
                 }
             }
         }
+        // A short key cycles its schedule in the streaming table.
+        let key = crate::Key::from_nibbles(&[(0, 3), (7, 2), (4, 4)]).unwrap();
+        let table = SpanTable::new(&key, Algorithm::Mhhea);
+        assert_eq!(table.schedule_len(), 3);
+        for i in 0..32 {
+            check_entry(table.entry(i, 0xCA), Algorithm::Mhhea, key.pair(i), 0xCA);
+        }
+    }
+
+    #[test]
+    fn span_table_is_a_view_of_shared_rows() {
+        // A table owns no heap memory: building one per stream is free.
+        assert!(!std::mem::needs_drop::<SpanTable>());
     }
 
     #[test]

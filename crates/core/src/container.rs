@@ -55,7 +55,7 @@
 use crate::block::SpanTable;
 use crate::lanes::{open_lanes, seal_lanes, LaneOpenJob, LaneSealJob, LANE_THRESHOLD, MAX_LANES};
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
-use crate::session::{DecryptSession, EncryptSession};
+use crate::session::{DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Decryptor, Encryptor, Key, MhheaError, Profile};
 
@@ -560,8 +560,8 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
     }
 
     // Each chunk was sealed by an independent session from the stream
-    // origin, so chunks decrypt in any order on any thread (each worker
-    // clones a fresh-cursor template, so the span table is built once).
+    // origin, so chunks decrypt in any order on any thread (each replays
+    // one shared session from a fresh cursor).
     // The hiding vectors travel inside the blocks themselves — the decrypt
     // side never re-derives the per-chunk seeds (the master seed in the
     // header exists so a holder of the key can reproduce the seal
@@ -604,7 +604,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
             }
             flat
         } else {
-            let template = std::sync::Arc::new(DecryptSession::with_options(
+            let session = std::sync::Arc::new(DecryptSession::with_options(
                 key.clone(),
                 header.algorithm,
                 header.profile,
@@ -614,7 +614,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
                     .chunks_exact(2)
                     .map(|c| u16::from_le_bytes([c[0], c[1]]))
                     .collect();
-                (*template).clone().decrypt(&blocks, bit_len)
+                session.decrypt_at(&mut StreamCursor::start(), &blocks, bit_len)
             })
         };
 

@@ -30,8 +30,7 @@
 //! reseeds the location scrambler on the receive side. Internally both
 //! run the word-level span-table fast path (see [`crate::block`]).
 
-use crate::block::SpanTable;
-use crate::session::{decrypt_at, EncryptSession, StreamCursor};
+use crate::session::{DecryptSession, EncryptSession, StreamCursor};
 use crate::source::VectorSource;
 use crate::{Algorithm, Key, MhheaError};
 
@@ -156,49 +155,33 @@ impl<S: VectorSource> Encryptor<S> {
     }
 }
 
-/// The single-shot decryption engine: replays the word-level decrypt path
-/// from a fresh stream origin on every call.
+/// The single-shot decryption engine: a thin wrapper that replays a
+/// [`DecryptSession`] from a fresh stream origin on every call.
 #[derive(Debug, Clone)]
 pub struct Decryptor {
-    key: Key,
-    table: SpanTable,
-    algorithm: Algorithm,
-    profile: Profile,
+    session: DecryptSession,
 }
 
 impl Decryptor {
     /// Creates an MHHEA decryptor in the streaming profile.
     pub fn new(key: Key) -> Self {
-        let table = SpanTable::new(&key, Algorithm::Mhhea);
         Decryptor {
-            key,
-            table,
-            algorithm: Algorithm::Mhhea,
-            profile: Profile::Streaming,
+            session: DecryptSession::new(key),
         }
     }
 
     /// Selects the cipher variant.
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self.rebuild_table();
+        self.session = self.session.with_algorithm(algorithm);
         self
     }
 
     /// Selects the buffering profile (must match the encryptor).
     #[must_use]
     pub fn with_profile(mut self, profile: Profile) -> Self {
-        self.profile = profile;
-        self.rebuild_table();
+        self.session = self.session.with_profile(profile);
         self
-    }
-
-    fn rebuild_table(&mut self) {
-        self.table = match self.profile {
-            Profile::Streaming => SpanTable::new(&self.key, self.algorithm),
-            Profile::HardwareFaithful => SpanTable::new_hw(&self.key, self.algorithm),
-        };
     }
 
     /// Recovers `bit_len` message bits from cipher blocks, returned as
@@ -211,8 +194,8 @@ impl Decryptor {
     /// Returns [`MhheaError::CiphertextTruncated`] when the blocks carry
     /// fewer than `bit_len` bits.
     pub fn decrypt(&self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
-        let mut cursor = StreamCursor::start();
-        decrypt_at(&self.table, self.profile, &mut cursor, blocks, bit_len)
+        self.session
+            .decrypt_at(&mut StreamCursor::start(), blocks, bit_len)
     }
 }
 

@@ -96,6 +96,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use crate::block::SpanTable;
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
 use crate::lanes::{seal_lanes, LaneSealJob, LANE_THRESHOLD};
 use crate::pipeline::{chunk_seed, WorkerPool};
@@ -465,18 +466,15 @@ pub enum StreamOutput {
 }
 
 /// One duplex stream: an encrypt endpoint, a decrypt endpoint tracking the
-/// peer's encrypt side, and the parameters needed to snapshot both.
+/// peer's encrypt side, and the ring it rekeys from. Key, algorithm,
+/// profile and epoch are read from `enc`; both sessions always agree on
+/// them.
 #[derive(Debug)]
 struct StreamState {
     enc: EncryptSession<LfsrSource>,
     dec: DecryptSession,
-    key: Key,
-    algorithm: Algorithm,
-    profile: Profile,
     /// Present iff the stream can rekey.
     ring: Option<KeyRing>,
-    /// Current key epoch (0 until the first rekey).
-    epoch: u32,
 }
 
 impl StreamState {
@@ -485,23 +483,8 @@ impl StreamState {
     /// back at the stream origin.
     fn rekey(&mut self, id: StreamId, epoch: u32) -> Result<u32, GatewayError> {
         let ring = self.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
-        if epoch <= self.epoch {
-            return Err(GatewayError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
-        }
-        let key = ring.key(epoch).clone();
-        let source = LfsrSource::new(ring.seed(epoch))
-            .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        // The epoch check above already passed, so neither session-level
-        // rekey can report a stale epoch; the two sessions always move
-        // together.
-        self.enc.rekey_with(key.clone(), source, epoch)?;
-        self.dec.rekey_with(key.clone(), epoch)?;
-        self.key = key;
-        self.epoch = epoch;
-        Ok(epoch)
+        let (key, seed) = (ring.key(epoch).clone(), ring.seed(epoch));
+        self.rotate(key, seed, epoch)
     }
 
     /// Rotates both sessions to `epoch` with externally derived material
@@ -509,24 +492,36 @@ impl StreamState {
     /// stream's ring is replaced by a single-entry ring holding exactly
     /// this key and seed, so snapshots of the stream stay restorable.
     fn rekey_with(&mut self, key: Key, seed: u16, epoch: u32) -> Result<u32, GatewayError> {
-        if epoch <= self.epoch {
-            return Err(GatewayError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
+        let ring = KeyRing::single(key.clone(), seed);
+        self.rotate(key, seed, epoch)?;
+        // A single-key ring only rejects a zero master seed, which
+        // `rotate` has just refused, so the ring is always present.
+        self.ring = ring.ok();
+        Ok(epoch)
+    }
+
+    /// Moves both sessions to `epoch` under `key` with a fresh LFSR from
+    /// `seed`; on any error neither session moves.
+    fn rotate(&mut self, key: Key, seed: u16, epoch: u32) -> Result<u32, GatewayError> {
+        if epoch <= self.enc.epoch() {
+            return Err(self.stale(epoch));
         }
-        // A single-key ring only rejects a zero master seed, exactly the
-        // condition `LfsrSource::new` rejects below.
-        let ring = KeyRing::single(key.clone(), seed)
-            .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
         let source =
             LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
+        // The epoch check above already passed, so neither session-level
+        // rekey can report a stale epoch; the two sessions always move
+        // together.
         self.enc.rekey_with(key.clone(), source, epoch)?;
-        self.dec.rekey_with(key.clone(), epoch)?;
-        self.key = key;
-        self.ring = Some(ring);
-        self.epoch = epoch;
+        self.dec.rekey_with(key, epoch)?;
         Ok(epoch)
+    }
+
+    /// The refusal of `requested` against the epoch in force.
+    fn stale(&self, requested: u32) -> GatewayError {
+        GatewayError::StaleEpoch {
+            current: self.enc.epoch(),
+            requested,
+        }
     }
 }
 
@@ -668,18 +663,9 @@ impl StreamMux {
         let source = LfsrSource::new(config.seed)
             .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
         let state = StreamState {
-            enc: EncryptSession::with_options(
-                config.key.clone(),
-                source,
-                config.algorithm,
-                config.profile,
-            ),
             dec: DecryptSession::with_options(config.key.clone(), config.algorithm, config.profile),
-            key: config.key,
-            algorithm: config.algorithm,
-            profile: config.profile,
+            enc: EncryptSession::with_options(config.key, source, config.algorithm, config.profile),
             ring: config.ring,
-            epoch: 0,
         };
         self.insert(id, state)
     }
@@ -747,7 +733,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn epoch(&self, id: StreamId) -> Result<u32, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.epoch))
+        self.inner.with_stream(id, |s| Ok(s.enc.epoch()))
     }
 
     /// Rotates one stream (both directions, atomically) to a new
@@ -822,26 +808,23 @@ impl StreamMux {
     ) -> Result<Vec<u16>, GatewayError> {
         self.inner.with_stream(id, |s| {
             let ring = s.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
-            if epoch != s.epoch {
-                return Err(GatewayError::StaleEpoch {
-                    current: s.epoch,
-                    requested: epoch,
-                });
+            if epoch != s.enc.epoch() {
+                return Err(s.stale(epoch));
             }
             let seed = chunk_seed(ring.seed(epoch), chunk_index);
             let source =
                 LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-            let mut enc =
-                EncryptSession::with_options(s.key.clone(), source, s.algorithm, s.profile);
+            let (key, algorithm, profile) = s.enc.params();
+            let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, profile);
             Ok(enc.encrypt(message)?)
         })
     }
 
     /// Opens one chunk sealed by [`StreamMux::seal_chunk`] (this mux or
-    /// any peer holding the same key): a one-shot decrypt session from the
-    /// stream origin — decryption consults only the key, so no seed
-    /// derivation is needed and chunks open in any order. The stream's
-    /// duplex cursors are **not** advanced.
+    /// any peer holding the same key): the stream's decrypt session
+    /// replayed from the stream origin — decryption consults only the key,
+    /// so no seed derivation is needed and chunks open in any order. The
+    /// stream's duplex cursors are **not** advanced.
     ///
     /// `epoch` must name the stream's current epoch (the chunk was sealed
     /// under that epoch's key; opening it under any other would produce
@@ -860,14 +843,11 @@ impl StreamMux {
         bit_len: usize,
     ) -> Result<Vec<u8>, GatewayError> {
         self.inner.with_stream(id, |s| {
-            if epoch != s.epoch {
-                return Err(GatewayError::StaleEpoch {
-                    current: s.epoch,
-                    requested: epoch,
-                });
+            if epoch != s.enc.epoch() {
+                return Err(s.stale(epoch));
             }
-            let mut dec = DecryptSession::with_options(s.key.clone(), s.algorithm, s.profile);
-            Ok(dec.decrypt(blocks, bit_len)?)
+            Ok(s.dec
+                .decrypt_at(&mut StreamCursor::start(), blocks, bit_len)?)
         })
     }
 
@@ -983,8 +963,8 @@ impl StreamMux {
     /// Use [`crate::container::seal_v2`] instead when you have **one large
     /// payload** to chunk across threads; use `seal_batch` when you have
     /// **many small messages on live streams** — sessions persist across
-    /// calls, so per-message span-table rebuilds and thread spawns are
-    /// both avoided.
+    /// calls, so per-message session setup and thread spawns are both
+    /// avoided.
     /// When a busy shard's share of the batch holds at least
     /// [`LANE_THRESHOLD`] compatible streaming encrypts (same algorithm
     /// and key), those messages run through the bitsliced lane engine
@@ -1207,7 +1187,7 @@ impl StreamMux {
 /// The lane-filling scheduler: one shard's share of a batch enters, and
 /// every stream whose *first* operation is an eligible streaming encrypt
 /// becomes a lane candidate. Candidates are grouped by cipher parameters
-/// (algorithm + key — one span table serves a whole group) and groups of
+/// (algorithm + key — one span schedule serves a whole group) and groups of
 /// at least [`LANE_THRESHOLD`] run through [`seal_lanes`] in bitsliced
 /// lockstep. Smaller groups, ineligible ops, and every stream's later ops
 /// stay scalar; the scalar loop runs after the lane commits, so per-stream
@@ -1235,16 +1215,14 @@ fn lane_prepass<M>(
         let Some(state) = shard.get(&id.0) else {
             continue; // unknown stream: the scalar path reports it
         };
-        if state.profile != Profile::Streaming {
+        let (key, algorithm, profile) = state.enc.params();
+        if profile != Profile::Streaming {
             continue; // hardware-faithful buffering is inherently serial
         }
-        groups
-            .entry((state.algorithm, state.key.clone()))
-            .or_default()
-            .push(ix);
+        groups.entry((algorithm, key.clone())).or_default().push(ix);
     }
     let mut sealed: HashMap<usize, Vec<u16>> = HashMap::new();
-    for group in groups.into_values() {
+    for ((algorithm, key), group) in groups {
         if group.len() < LANE_THRESHOLD {
             continue; // too few lanes to beat the scalar path
         }
@@ -1269,17 +1247,9 @@ fn lane_prepass<M>(
         if jobs.len() != group.len() {
             continue; // a candidate went missing (unreachable): scalar
         }
-        let outs = {
-            let Some((_, id0, _)) = group.first().and_then(|&ix| items.get(ix)) else {
-                continue;
-            };
-            let Some(st0) = shard.get(&id0.0) else {
-                continue;
-            };
-            match seal_lanes(&st0.key, st0.algorithm, st0.enc.span_table(), &jobs) {
-                Ok(outs) => outs,
-                Err(_) => continue, // kernel refused: scalar fallback
-            }
+        let table = SpanTable::new(&key, algorithm);
+        let Ok(outs) = seal_lanes(&key, algorithm, &table, &jobs) else {
+            continue; // kernel refused: scalar fallback
         };
         drop(jobs);
         for (&ix, out) in group.iter().zip(outs) {
@@ -1418,26 +1388,27 @@ fn push_pairs(out: &mut Vec<u8>, key: &Key) {
 }
 
 fn encode_snapshot(id: StreamId, state: &StreamState) -> Vec<u8> {
-    let pairs = state.key.pairs();
+    let (key, algorithm, profile) = state.enc.params();
+    let pairs = key.pairs();
     let mut out = Vec::with_capacity(SNAPSHOT_V2_HEADER_LEN + pairs.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.push(SNAPSHOT_VERSION);
-    out.push(algorithm_tag(state.algorithm));
-    out.push(profile_tag(state.profile));
+    out.push(algorithm_tag(algorithm));
+    out.push(profile_tag(profile));
     // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
     out.push(pairs.len() as u8);
     out.extend_from_slice(&id.0.to_le_bytes());
     out.extend_from_slice(&state.enc.source().state().to_le_bytes());
     out.extend_from_slice(&state.enc.cursor().to_bytes());
     out.extend_from_slice(&state.dec.cursor().to_bytes());
-    out.extend_from_slice(&state.epoch.to_le_bytes());
+    out.extend_from_slice(&state.enc.epoch().to_le_bytes());
     match &state.ring {
         Some(ring) => {
             out.extend_from_slice(&ring.master_seed().to_le_bytes());
             // lint: allow(truncating-cast, reason = "KeyRing::new caps a ring at MAX_RING_KEYS = 255 keys")
             out.push(ring.len() as u8);
             out.push(0); // reserved
-            push_pairs(&mut out, &state.key);
+            push_pairs(&mut out, key);
             for key in ring.keys() {
                 // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
                 out.push(key.len() as u8);
@@ -1448,7 +1419,7 @@ fn encode_snapshot(id: StreamId, state: &StreamState) -> Vec<u8> {
             out.extend_from_slice(&0u16.to_le_bytes());
             out.push(0);
             out.push(0); // reserved
-            push_pairs(&mut out, &state.key);
+            push_pairs(&mut out, key);
         }
     }
     out
@@ -1576,24 +1547,13 @@ fn decode_snapshot(bytes: &[u8]) -> Result<(StreamId, StreamState), SnapshotDeco
     // state was validated nonzero above, so the error arm is unreachable
     // but keeps the serving path total.
     let source = LfsrSource::new(lfsr_state).map_err(|_| SnapshotDecodeError::ZeroLfsrState)?;
-    let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, profile);
-    enc.set_cursor(enc_cursor);
-    enc.set_epoch(epoch);
     let mut dec = DecryptSession::with_options(key.clone(), algorithm, profile);
     dec.set_cursor(dec_cursor);
     dec.set_epoch(epoch);
-    Ok((
-        id,
-        StreamState {
-            enc,
-            dec,
-            key,
-            algorithm,
-            profile,
-            ring,
-            epoch,
-        },
-    ))
+    let mut enc = EncryptSession::with_options(key, source, algorithm, profile);
+    enc.set_cursor(enc_cursor);
+    enc.set_epoch(epoch);
+    Ok((id, StreamState { enc, dec, ring }))
 }
 
 #[cfg(test)]

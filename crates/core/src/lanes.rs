@@ -36,6 +36,7 @@
 //! `crates/core/tests`.
 
 use crate::block::SpanTable;
+use crate::source::LeapNetwork;
 use crate::{Algorithm, Key, MhheaError};
 
 /// Maximum number of lanes one kernel invocation carries (`u64` width).
@@ -83,10 +84,10 @@ pub struct LaneOpenJob<'a> {
 
 /// Seals W independent streams in bitsliced lockstep.
 ///
-/// `table` must be `SpanTable::new(key, algorithm)` — the scalar tables
-/// the streaming sessions already hold — so callers share one table
-/// across all lanes. Jobs beyond [`MAX_LANES`] are processed in
-/// successive kernel invocations; results keep job order.
+/// `table` must be `SpanTable::new(key, algorithm)`, the streaming
+/// schedule of the same key (a view of the process-wide span rows, free
+/// to build). Jobs beyond [`MAX_LANES`] are processed in successive
+/// kernel invocations; results keep job order.
 ///
 /// # Errors
 ///
@@ -136,23 +137,17 @@ pub fn open_lanes(
 // ---------------------------------------------------------------------
 
 struct LaneLfsr {
-    /// Leap-matrix rows: next bit `i` is the XOR of current bits in
-    /// `rows[i]` (identical for every lane — the matrix depends only on
-    /// the tap polynomial, not the seed).
-    rows: [u16; 16],
+    /// Leap-matrix rows of the shared [`LeapNetwork`]: next bit `i` is
+    /// the XOR of current bits in `rows[i]` (identical for every lane —
+    /// the matrix depends only on the tap polynomial, not the seed).
+    rows: &'static [u16; 16],
     /// Bitsliced state columns.
     s: [u64; 16],
 }
 
 impl LaneLfsr {
     fn new(states: impl Iterator<Item = u16>) -> Self {
-        let reference =
-            lfsr::Fibonacci::from_table(16, 1).expect("width 16 is tabulated and seed 1 nonzero");
-        let leap = reference.leap_matrix(16);
-        let mut rows = [0u16; 16];
-        for (i, row) in rows.iter_mut().enumerate() {
-            *row = leap.row(i) as u16;
-        }
+        let rows = &LeapNetwork::get().rows;
         let mut s = [0u64; 16];
         for (j, st) in states.enumerate() {
             for (i, word) in s.iter_mut().enumerate() {
@@ -494,11 +489,8 @@ fn seal_group(
     }
 
     // Scalar tails: fewer than 8 bits left per lane, at most 7 more
-    // blocks each. The leap is applied per block via the matrix (the
-    // same linear map the kernel and LfsrSource fold into tables).
-    let leap = lfsr::Fibonacci::from_table(16, 1)
-        .expect("width 16 is tabulated and seed 1 nonzero")
-        .leap_matrix(16);
+    // blocks each, leaping through the same network LfsrSource uses.
+    let leap = LeapNetwork::get();
     jobs.iter()
         .enumerate()
         .map(|(j, job)| {
@@ -506,7 +498,7 @@ fn seal_group(
             let mut lane_blocks = core::mem::take(&mut blocks[j]);
             let mut p = pos[j];
             while p < bit_lens[j] {
-                st = leap.apply(st as u64) as u16;
+                st = leap.apply(st);
                 let e = table.entry(
                     (job.block_index + lane_blocks.len() as u64) as usize,
                     (st >> 8) as u8,

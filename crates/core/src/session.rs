@@ -14,10 +14,11 @@
 //!   [`DecryptSession`] advances in lockstep as it opens them. Encrypting
 //!   three messages through one session and decrypting them through one
 //!   session round-trips all three, in both profiles.
-//! * Both sessions run the **word-level** hot path: a precomputed
-//!   [`SpanTable`] turns each block into a few shift/mask operations on
-//!   `u16`s instead of a per-bit `Iterator<Item = bool>` loop (see
-//!   [`crate::block`]).
+//! * Both sessions run the **word-level** hot path: a [`SpanTable`] view
+//!   of the process-wide span rows turns each block into a few
+//!   shift/mask operations on `u16`s instead of a per-bit
+//!   `Iterator<Item = bool>` loop (see [`crate::block`]). A session owns
+//!   no table of its own, so creating or rekeying one is cheap.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
@@ -155,6 +156,7 @@ pub struct EncryptSession<S> {
     epoch: u32,
 }
 
+/// The span schedule `profile` runs `key` through.
 fn build_table(key: &Key, algorithm: Algorithm, profile: Profile) -> SpanTable {
     match profile {
         Profile::Streaming => SpanTable::new(key, algorithm),
@@ -168,15 +170,11 @@ impl<S: VectorSource> EncryptSession<S> {
         Self::with_options(key, source, Algorithm::Mhhea, Profile::Streaming)
     }
 
-    /// Creates a session with an explicit variant and profile, building
-    /// the span table exactly once (preferred over chaining
-    /// [`EncryptSession::with_algorithm`]/[`EncryptSession::with_profile`]
-    /// when both are known up front, e.g. one session per chunk).
+    /// Creates a session with an explicit variant and profile.
     pub fn with_options(key: Key, source: S, algorithm: Algorithm, profile: Profile) -> Self {
-        let table = build_table(&key, algorithm, profile);
         EncryptSession {
+            table: build_table(&key, algorithm, profile),
             key,
-            table,
             source,
             algorithm,
             profile,
@@ -185,7 +183,7 @@ impl<S: VectorSource> EncryptSession<S> {
         }
     }
 
-    /// Selects the cipher variant (rebuilds the span table).
+    /// Selects the cipher variant.
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
@@ -193,8 +191,8 @@ impl<S: VectorSource> EncryptSession<S> {
         self
     }
 
-    /// Selects the buffering profile (rebuilds the span table: the
-    /// hardware profile schedules pairs through the 16-deep key cache).
+    /// Selects the buffering profile (the hardware profile schedules
+    /// pairs through the 16-deep key cache).
     #[must_use]
     pub fn with_profile(mut self, profile: Profile) -> Self {
         self.profile = profile;
@@ -236,7 +234,7 @@ impl<S: VectorSource> EncryptSession<S> {
     }
 
     /// Rotates the session to a new epoch with explicit materials: the
-    /// new key (span table rebuilt), a fresh vector source, and the
+    /// new key and its span schedule, a fresh vector source, and the
     /// cursor reset to the stream origin — the new epoch's schedule
     /// starts from block zero on both endpoints, which is what makes the
     /// handoff bit-exact. Call it only at a message boundary (every point
@@ -266,6 +264,11 @@ impl<S: VectorSource> EncryptSession<S> {
     /// [`crate::LfsrSource::state`] before evicting the stream).
     pub fn source(&self) -> &S {
         &self.source
+    }
+
+    /// The current epoch's key, the cipher variant and the profile.
+    pub(crate) fn params(&self) -> (&Key, Algorithm, Profile) {
+        (&self.key, self.algorithm, self.profile)
     }
 
     fn next_vector(&mut self) -> Result<u16, MhheaError> {
@@ -403,12 +406,6 @@ impl EncryptSession<LfsrSource> {
         self.cursor.block_index = block_index;
         Ok(())
     }
-
-    /// The session's span table, shared across lanes by the batch
-    /// scheduler instead of rebuilding one per job.
-    pub(crate) fn span_table(&self) -> &SpanTable {
-        &self.table
-    }
 }
 
 /// A stateful decryption endpoint mirroring an [`EncryptSession`].
@@ -432,13 +429,10 @@ impl DecryptSession {
         Self::with_options(key, Algorithm::Mhhea, Profile::Streaming)
     }
 
-    /// Creates a session with an explicit variant and profile, building
-    /// the span table exactly once (preferred over chaining the builders
-    /// when both are known up front).
+    /// Creates a session with an explicit variant and profile.
     pub fn with_options(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
-        let table = build_table(&key, algorithm, profile);
         DecryptSession {
-            table,
+            table: build_table(&key, algorithm, profile),
             algorithm,
             profile,
             cursor: StreamCursor::start(),
@@ -537,70 +531,73 @@ impl DecryptSession {
     /// fewer than `bit_len` bits.
     pub fn decrypt(&mut self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
         let mut cursor = self.cursor;
-        let result = decrypt_at(&self.table, self.profile, &mut cursor, blocks, bit_len);
+        let result = self.decrypt_at(&mut cursor, blocks, bit_len);
         if result.is_ok() {
             self.cursor = cursor;
         }
         result
     }
-}
 
-/// The word-level decrypt hot path, shared by [`DecryptSession`] and the
-/// single-shot [`crate::Decryptor`] (which replays from a fresh cursor on
-/// every call instead of mutating a session).
-pub(crate) fn decrypt_at(
-    table: &SpanTable,
-    profile: Profile,
-    cursor: &mut StreamCursor,
-    blocks: &[u16],
-    bit_len: usize,
-) -> Result<Vec<u8>, MhheaError> {
-    let mut writer = BitWriter::new();
-    let mut recovered = 0usize;
-    let base = cursor.block_index;
-    match profile {
-        Profile::Streaming => {
-            for (i, &cipher) in blocks.iter().enumerate() {
-                if recovered >= bit_len {
-                    break;
-                }
-                let e = table.entry((base + i as u64) as usize, (cipher >> 8) as u8);
-                // Extraction is capped by `bit_len` — never trust a
-                // (possibly corrupted) header to size the output.
-                let take = (e.width as usize).min(bit_len - recovered);
-                writer.push_bits(e.extract(cipher, take) as u64, take);
-                recovered += take;
-            }
-        }
-        Profile::HardwareFaithful => {
-            let mut consumed = cursor.buffered as usize;
-            for (i, &cipher) in blocks.iter().enumerate() {
-                let e = table.entry((base + i as u64) as usize, (cipher >> 8) as u8);
-                // Only the first `fresh` span positions carry new message
-                // bits; the rest are the encryptor's stale buffer
-                // wrap-around. Extraction is additionally capped by
-                // `bit_len` (a corrupted header must not inflate the
-                // output or the allocation).
-                let fresh = (e.width as usize).min(16 - consumed);
-                let take = fresh.min(bit_len.saturating_sub(recovered));
-                writer.push_bits(e.extract(cipher, take) as u64, take);
-                recovered += take;
-                consumed += e.width as usize;
-                if consumed >= 16 {
-                    consumed = 0;
+    /// The word-level decrypt hot path from `cursor`, leaving the
+    /// session's own cursor alone (one-shot opens replay it from
+    /// [`StreamCursor::start`]).
+    pub(crate) fn decrypt_at(
+        &self,
+        cursor: &mut StreamCursor,
+        blocks: &[u16],
+        bit_len: usize,
+    ) -> Result<Vec<u8>, MhheaError> {
+        let mut writer = BitWriter::new();
+        let mut recovered = 0usize;
+        let base = cursor.block_index;
+        match self.profile {
+            Profile::Streaming => {
+                for (i, &cipher) in blocks.iter().enumerate() {
+                    if recovered >= bit_len {
+                        break;
+                    }
+                    let e = self
+                        .table
+                        .entry((base + i as u64) as usize, (cipher >> 8) as u8);
+                    // Extraction is capped by `bit_len` — never trust a
+                    // (possibly corrupted) header to size the output.
+                    let take = (e.width as usize).min(bit_len - recovered);
+                    writer.push_bits(e.extract(cipher, take) as u64, take);
+                    recovered += take;
                 }
             }
-            cursor.buffered = consumed as u8;
+            Profile::HardwareFaithful => {
+                let mut consumed = cursor.buffered as usize;
+                for (i, &cipher) in blocks.iter().enumerate() {
+                    let e = self
+                        .table
+                        .entry((base + i as u64) as usize, (cipher >> 8) as u8);
+                    // Only the first `fresh` span positions carry new message
+                    // bits; the rest are the encryptor's stale buffer
+                    // wrap-around. Extraction is additionally capped by
+                    // `bit_len` (a corrupted header must not inflate the
+                    // output or the allocation).
+                    let fresh = (e.width as usize).min(16 - consumed);
+                    let take = fresh.min(bit_len.saturating_sub(recovered));
+                    writer.push_bits(e.extract(cipher, take) as u64, take);
+                    recovered += take;
+                    consumed += e.width as usize;
+                    if consumed >= 16 {
+                        consumed = 0;
+                    }
+                }
+                cursor.buffered = consumed as u8;
+            }
         }
+        // Every supplied block advances the schedule — the encrypt side
+        // produced all of them for this message, even past the `bit_len` cap.
+        cursor.block_index = base + blocks.len() as u64;
+        if recovered < bit_len {
+            return Err(MhheaError::CiphertextTruncated {
+                got_bits: recovered,
+                want_bits: bit_len,
+            });
+        }
+        Ok(writer.into_bytes())
     }
-    // Every supplied block advances the schedule — the encrypt side
-    // produced all of them for this message, even past the `bit_len` cap.
-    cursor.block_index = base + blocks.len() as u64;
-    if recovered < bit_len {
-        return Err(MhheaError::CiphertextTruncated {
-            got_bits: recovered,
-            want_bits: bit_len,
-        });
-    }
-    Ok(writer.into_bytes())
 }

@@ -5,7 +5,9 @@
 //! instead turns the same datapath into a steganographic embedder. This
 //! module abstracts that choice behind [`VectorSource`].
 
-use lfsr::Fibonacci;
+use std::sync::OnceLock;
+
+use lfsr::{Fibonacci, LfsrError};
 
 /// Supplies one 16-bit hiding vector per block.
 ///
@@ -16,15 +18,51 @@ pub trait VectorSource {
     fn next_vector(&mut self) -> Option<u16>;
 }
 
+/// The 16-step leap of the 16-bit LFSR, a linear map over GF(2) fixed by
+/// the tap polynomial: derived once per process and shared by every
+/// [`LfsrSource`] and the lane engine's bitsliced register.
+#[derive(Debug)]
+pub(crate) struct LeapNetwork {
+    /// `apply(state) = lo[state & 0xFF] ^ hi[state >> 8]`.
+    lo: [u16; 256],
+    hi: [u16; 256],
+    /// Matrix rows: next bit `i` is the parity of `state & rows[i]`.
+    pub(crate) rows: [u16; 16],
+}
+
+impl LeapNetwork {
+    /// The process-wide network, folded from
+    /// [`lfsr::Fibonacci::leap_matrix`] on first use.
+    pub(crate) fn get() -> &'static LeapNetwork {
+        static NETWORK: OnceLock<LeapNetwork> = OnceLock::new();
+        NETWORK.get_or_init(|| {
+            let leap = Fibonacci::from_table(16, 1)
+                .expect("width 16 is tabulated and seed 1 nonzero")
+                .leap_matrix(16);
+            LeapNetwork {
+                lo: core::array::from_fn(|b| leap.apply(b as u64) as u16),
+                hi: core::array::from_fn(|b| leap.apply((b as u64) << 8) as u16),
+                rows: core::array::from_fn(|i| leap.row(i) as u16),
+            }
+        })
+    }
+
+    /// Advances `state` by one block (16 LFSR steps).
+    #[inline]
+    pub(crate) fn apply(&self, state: u16) -> u16 {
+        self.lo[(state & 0xFF) as usize] ^ self.hi[(state >> 8) as usize]
+    }
+}
+
 /// The paper's random-number-generator module: a 16-bit maximal-length
 /// Fibonacci LFSR advanced 16 steps per block (the hardware leap network).
 ///
 /// The 16-step leap is a linear map over GF(2), so — exactly like the
-/// hardware's one-clock leap network — it is precomputed at construction:
-/// the transition matrix ([`lfsr::Fibonacci::leap_matrix`]) is folded into
-/// two 256-entry byte tables and each vector costs two loads and an XOR
-/// instead of sixteen serial shift-and-feedback steps. This is what keeps
-/// the vector supply off the encrypt hot path's critical time.
+/// hardware's one-clock leap network — it is precomputed: the transition
+/// matrix ([`lfsr::Fibonacci::leap_matrix`]) is folded once per process
+/// into two 256-entry byte tables that every source shares, and each
+/// vector costs two loads and an XOR instead of sixteen serial
+/// shift-and-feedback steps. A source is only its register.
 ///
 /// # Examples
 ///
@@ -39,9 +77,7 @@ pub trait VectorSource {
 #[derive(Debug, Clone)]
 pub struct LfsrSource {
     state: u16,
-    /// `leap(state) = leap_lo[state & 0xFF] ^ leap_hi[state >> 8]`.
-    leap_lo: [u16; 256],
-    leap_hi: [u16; 256],
+    leap: &'static LeapNetwork,
 }
 
 impl LfsrSource {
@@ -49,21 +85,15 @@ impl LfsrSource {
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`lfsr::LfsrError`] for a zero seed.
-    pub fn new(seed: u16) -> Result<Self, lfsr::LfsrError> {
-        let reference = Fibonacci::from_table(16, seed as u64)?;
-        let leap = reference.leap_matrix(16);
-        let mut leap_lo = [0u16; 256];
-        let mut leap_hi = [0u16; 256];
-        for b in 0..256usize {
-            leap_lo[b] = leap.apply(b as u64) as u16;
-            leap_hi[b] = leap.apply((b as u64) << 8) as u16;
-        }
-        Ok(LfsrSource {
-            state: seed,
-            leap_lo,
-            leap_hi,
-        })
+    /// Returns [`LfsrError::ZeroSeed`] for a zero seed (the all-zero
+    /// state is the lattice's fixed point).
+    pub fn new(seed: u16) -> Result<Self, LfsrError> {
+        let mut source = LfsrSource {
+            state: 1,
+            leap: LeapNetwork::get(),
+        };
+        source.set_state(seed)?;
+        Ok(source)
     }
 
     /// Current LFSR state (the next vector before leaping).
@@ -71,18 +101,16 @@ impl LfsrSource {
         self.state
     }
 
-    /// Repositions the register at `state` without rebuilding the leap
-    /// tables (they depend only on the tap polynomial, not the seed).
-    /// This is how the lane engine hands a stream back to the scalar
-    /// path bit-exactly.
+    /// Repositions the register at `state`. This is how the lane engine
+    /// hands a stream back to the scalar path bit-exactly.
     ///
     /// # Errors
     ///
-    /// Returns [`lfsr::LfsrError::ZeroSeed`] for the all-zero state (the
+    /// Returns [`LfsrError::ZeroSeed`] for the all-zero state (the
     /// lattice's fixed point).
-    pub fn set_state(&mut self, state: u16) -> Result<(), lfsr::LfsrError> {
+    pub fn set_state(&mut self, state: u16) -> Result<(), LfsrError> {
         if state == 0 {
-            return Err(lfsr::LfsrError::ZeroSeed);
+            return Err(LfsrError::ZeroSeed);
         }
         self.state = state;
         Ok(())
@@ -91,8 +119,7 @@ impl LfsrSource {
 
 impl VectorSource for LfsrSource {
     fn next_vector(&mut self) -> Option<u16> {
-        self.state =
-            self.leap_lo[(self.state & 0xFF) as usize] ^ self.leap_hi[(self.state >> 8) as usize];
+        self.state = self.leap.apply(self.state);
         Some(self.state)
     }
 }
@@ -191,7 +218,14 @@ mod tests {
 
     #[test]
     fn lfsr_source_rejects_zero_seed() {
-        assert!(LfsrSource::new(0).is_err());
+        assert!(matches!(LfsrSource::new(0), Err(LfsrError::ZeroSeed)));
+    }
+
+    #[test]
+    fn lfsr_source_is_just_the_register() {
+        // The leap tables are shared, so a source is only its register
+        // and a pointer to them.
+        assert!(std::mem::size_of::<LfsrSource>() <= 16);
     }
 
     #[test]
