@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mhhea::container::{seal_v2, SealV2Options};
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
 use mhhea::Key;
 
 fn message_for(id: u64, size: usize) -> Vec<u8> {
@@ -44,23 +44,27 @@ fn bench_gateway_sweep(c: &mut Criterion) {
         for streams in [64u64, 1024] {
             let mux = StreamMux::with_shards(64);
             open_streams(&mux, &key, streams);
-            let batch: Vec<(StreamId, Vec<u8>)> = (0..streams)
+            let messages: Vec<(StreamId, Vec<u8>)> = (0..streams)
                 .map(|id| (StreamId(id), message_for(id, msg_size)))
+                .collect();
+            let batch: Vec<(StreamId, StreamOp)> = messages
+                .iter()
+                .map(|(id, msg)| (*id, StreamOp::Encrypt(msg.clone())))
                 .collect();
             group.throughput(Throughput::Bytes(streams * msg_size as u64));
             group.bench_with_input(
-                BenchmarkId::new("mux_seal_batch", streams),
+                BenchmarkId::new("mux_submit_batch", streams),
                 &batch,
-                |b, batch| b.iter(|| mux.seal_batch(batch.clone())),
+                |b, batch| b.iter(|| mux.submit_batch(batch.clone())),
             );
             // Baseline: the same messages as independent one-shot v2
             // containers, one seal_v2 call each.
             group.bench_with_input(
                 BenchmarkId::new("per_call_seal_v2", streams),
-                &batch,
-                |b, batch| {
+                &messages,
+                |b, messages| {
                     b.iter(|| {
-                        batch
+                        messages
                             .iter()
                             .map(|(id, msg)| {
                                 let opts = SealV2Options {
@@ -79,51 +83,6 @@ fn bench_gateway_sweep(c: &mut Criterion) {
     }
 }
 
-/// Lanes × message-size sweep: the same seal workload run where the
-/// bitsliced lane engine engages versus where it cannot. The `lanes`
-/// rows use a single-shard mux, so every batch lands the whole
-/// same-key group in one shard queue and `seal_batch` packs it into
-/// u64 lanes; the `scalar` rows spread the identical streams across 64
-/// shards, leaving every per-shard group below `LANE_THRESHOLD` so the
-/// scalar `SpanTable` path does the exact same cipher work. The stream
-/// counts bracket the lane word: threshold (16), one full word (64),
-/// and a word plus a scalar tail (80).
-fn bench_gateway_lanes(c: &mut Criterion) {
-    use mhhea::lanes::{LANE_THRESHOLD, MAX_LANES};
-    let key = mhhea_bench::report_key();
-    for msg_size in [64usize, 1024] {
-        let mut group = c.benchmark_group(format!("gateway_lanes_{msg_size}B"));
-        group.sample_size(10);
-        for streams in [
-            LANE_THRESHOLD as u64,
-            MAX_LANES as u64,
-            MAX_LANES as u64 + LANE_THRESHOLD as u64,
-        ] {
-            let laned = StreamMux::with_shards(1);
-            let scattered = StreamMux::with_shards(64);
-            open_streams(&laned, &key, streams);
-            open_streams(&scattered, &key, streams);
-            let batch: Vec<(StreamId, Vec<u8>)> = (0..streams)
-                .map(|id| (StreamId(id), message_for(id, msg_size)))
-                .collect();
-            group.throughput(Throughput::Bytes(streams * msg_size as u64));
-            group.bench_with_input(BenchmarkId::new("lanes", streams), &batch, |b, batch| {
-                b.iter(|| {
-                    let frames = laned.seal_batch(batch.clone());
-                    assert!(frames.iter().all(Result::is_ok));
-                })
-            });
-            group.bench_with_input(BenchmarkId::new("scalar", streams), &batch, |b, batch| {
-                b.iter(|| {
-                    let frames = scattered.seal_batch(batch.clone());
-                    assert!(frames.iter().all(Result::is_ok));
-                })
-            });
-        }
-        group.finish();
-    }
-}
-
 /// Full duplex at acceptance scale: 1,024 streams sealed on one mux and
 /// opened on its peer, measuring the round trip.
 fn bench_gateway_duplex(c: &mut Criterion) {
@@ -134,20 +93,27 @@ fn bench_gateway_duplex(c: &mut Criterion) {
     let rx = StreamMux::with_shards(64);
     open_streams(&tx, &key, STREAMS);
     open_streams(&rx, &key, STREAMS);
-    let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
-        .map(|id| (StreamId(id), message_for(id, MSG)))
+    let batch: Vec<(StreamId, StreamOp)> = (0..STREAMS)
+        .map(|id| (StreamId(id), StreamOp::Encrypt(message_for(id, MSG))))
         .collect();
     let mut group = c.benchmark_group("gateway_duplex_1024x256B");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(STREAMS * MSG as u64));
     group.bench_function("seal_then_open_batch", |b| {
         b.iter(|| {
-            let frames: Vec<Vec<u8>> = tx
-                .seal_batch(batch.clone())
+            let opens: Vec<(StreamId, StreamOp)> = tx
+                .submit_batch(batch.clone())
                 .into_iter()
-                .map(Result::unwrap)
+                .enumerate()
+                .map(|(id, sealed)| {
+                    let Ok(StreamOutput::Blocks(blocks)) = sealed else {
+                        panic!("seal failed: {sealed:?}");
+                    };
+                    let bit_len = MSG * 8;
+                    (StreamId(id as u64), StreamOp::Decrypt { blocks, bit_len })
+                })
                 .collect();
-            let opened = rx.open_batch(frames);
+            let opened = rx.submit_batch(opens);
             assert!(opened.iter().all(Result::is_ok));
         })
     });
@@ -161,7 +127,6 @@ fn bench_gateway_duplex(c: &mut Criterion) {
 /// rotate-every-tick policy costs: span-table rebuild + LFSR reseed per
 /// stream.
 fn bench_gateway_rekey_churn(c: &mut Criterion) {
-    use mhhea::gateway::{StreamOp, StreamOutput};
     use mhhea::KeyRing;
     let key = mhhea_bench::report_key();
     const STREAMS: u64 = 1024;
@@ -206,7 +171,6 @@ fn bench_gateway_rekey_churn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gateway_sweep,
-    bench_gateway_lanes,
     bench_gateway_duplex,
     bench_gateway_rekey_churn
 );

@@ -52,8 +52,6 @@
 //! Every chunk but the last carries a whole number of bytes, so opened
 //! chunks concatenate without bit shifting.
 
-use crate::block::SpanTable;
-use crate::lanes::{open_lanes, seal_lanes, LaneOpenJob, LaneSealJob, LANE_THRESHOLD, MAX_LANES};
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
 use crate::session::{DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
@@ -281,47 +279,14 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
         .collect();
     let shared_key = std::sync::Arc::new(key.clone());
     let (algorithm, profile, master_seed) = (opts.algorithm, opts.profile, opts.master_seed);
-    // Enough independently-seeded streaming chunks fill the bitsliced
-    // lane engine: batches of up to MAX_LANES chunks march in lockstep,
-    // and the pool still parallelises across batches. Below the
-    // threshold (or on the serial hardware profile) each chunk seals on
-    // the scalar session path.
-    let sealed: Vec<Result<Vec<u16>, MhheaError>> = if profile == Profile::Streaming
-        && jobs.len() >= LANE_THRESHOLD
-    {
-        let batches: Vec<Vec<(u32, Vec<u8>)>> = jobs.chunks(MAX_LANES).map(<[_]>::to_vec).collect();
-        let lane_key = shared_key.clone();
-        let per_batch: Vec<Result<Vec<Vec<u16>>, MhheaError>> =
-            parallel_map(batches, opts.workers, move |_, batch| {
-                let table = SpanTable::new(&lane_key, algorithm);
-                let lane_jobs: Vec<LaneSealJob> = batch
-                    .iter()
-                    .map(|(index, chunk)| LaneSealJob {
-                        message: chunk,
-                        state: chunk_seed(master_seed, *index),
-                        block_index: 0,
-                    })
-                    .collect();
-                seal_lanes(&lane_key, algorithm, &table, &lane_jobs)
-                    .map(|outs| outs.into_iter().map(|o| o.blocks).collect())
-            });
-        let mut flat = Vec::with_capacity(chunk_count as usize);
-        for batch in per_batch {
-            match batch {
-                Ok(outs) => flat.extend(outs.into_iter().map(Ok)),
-                Err(e) => flat.push(Err(e)),
-            }
-        }
-        flat
-    } else {
+    let sealed: Vec<Result<Vec<u16>, MhheaError>> =
         parallel_map(jobs, opts.workers, move |_, (index, chunk)| {
             let seed = chunk_seed(master_seed, index);
             let source = LfsrSource::new(seed).expect("derived seeds are nonzero");
             let mut session =
                 EncryptSession::with_options((*shared_key).clone(), source, algorithm, profile);
             session.encrypt(&chunk)
-        })
-    };
+        });
 
     let mut out = Vec::with_capacity(HEADER_V2_LEN + message.len() * 5);
     out.extend_from_slice(&MAGIC);
@@ -565,58 +530,20 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
     // The hiding vectors travel inside the blocks themselves — the decrypt
     // side never re-derives the per-chunk seeds (the master seed in the
     // header exists so a holder of the key can reproduce the seal
-    // bit-for-bit). With enough streaming chunks the lane engine opens
-    // batches of up to MAX_LANES chunks in bitsliced lockstep instead.
+    // bit-for-bit).
+    let session = std::sync::Arc::new(DecryptSession::with_options(
+        key.clone(),
+        header.algorithm,
+        header.profile,
+    ));
     let opened: Vec<Result<Vec<u8>, MhheaError>> =
-        if header.profile == Profile::Streaming && frames.len() >= LANE_THRESHOLD {
-            let batches: Vec<Vec<(u32, usize, Vec<u8>)>> =
-                frames.chunks(MAX_LANES).map(<[_]>::to_vec).collect();
-            let lane_key = std::sync::Arc::new(key.clone());
-            let algorithm = header.algorithm;
-            let per_batch: Vec<Result<Vec<Vec<u8>>, MhheaError>> =
-                parallel_map(batches, workers, move |_, batch| {
-                    let table = SpanTable::new(&lane_key, algorithm);
-                    let blocks_per: Vec<Vec<u16>> = batch
-                        .iter()
-                        .map(|(_, _, body)| {
-                            body.chunks_exact(2)
-                                .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                                .collect()
-                        })
-                        .collect();
-                    let lane_jobs: Vec<LaneOpenJob> = blocks_per
-                        .iter()
-                        .zip(&batch)
-                        .map(|(blocks, (_, bit_len, _))| LaneOpenJob {
-                            blocks,
-                            bit_len: *bit_len,
-                            block_index: 0,
-                        })
-                        .collect();
-                    open_lanes(&lane_key, algorithm, &table, &lane_jobs)
-                });
-            let mut flat = Vec::with_capacity(header.chunk_count as usize);
-            for batch in per_batch {
-                match batch {
-                    Ok(outs) => flat.extend(outs.into_iter().map(Ok)),
-                    Err(e) => flat.push(Err(e)),
-                }
-            }
-            flat
-        } else {
-            let session = std::sync::Arc::new(DecryptSession::with_options(
-                key.clone(),
-                header.algorithm,
-                header.profile,
-            ));
-            parallel_map(frames, workers, move |_, (_index, bit_len, body)| {
-                let blocks: Vec<u16> = body
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                    .collect();
-                session.decrypt_at(&mut StreamCursor::start(), &blocks, bit_len)
-            })
-        };
+        parallel_map(frames, workers, move |_, (_index, bit_len, body)| {
+            let blocks: Vec<u16> = body
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect();
+            session.decrypt_at(&mut StreamCursor::start(), &blocks, bit_len)
+        });
 
     // A chunk yields at most one plaintext byte per two sealed bytes, so
     // the input length bounds the output regardless of the header total.
@@ -804,6 +731,48 @@ mod tests {
             seal_v2(&key(), b"x", &opts),
             Err(ContainerError::Engine(MhheaError::InvalidSeed))
         );
+    }
+
+    /// Pins `seal_v2` at chunk counts either side of 16 and 64: every
+    /// chunk frame is byte-identical to a fresh session seeded by
+    /// `chunk_seed(master_seed, i)`, and the container round-trips.
+    #[test]
+    fn v2_chunks_match_fresh_sessions_at_boundary_counts() {
+        const CHUNK_BYTES: usize = 8;
+        const MASTER: u16 = 0x5EED;
+        for algorithm in [Algorithm::Hhea, Algorithm::Mhhea] {
+            for chunks in [15usize, 16, 63, 64, 65] {
+                // A short final chunk keeps the ragged tail in play.
+                let len = chunks * CHUNK_BYTES - 3;
+                let message: Vec<u8> = (0..len).map(|i| (i * 13 + chunks) as u8).collect();
+                let opts = SealV2Options {
+                    algorithm,
+                    master_seed: MASTER,
+                    ..v2_opts(Profile::Streaming, CHUNK_BYTES, 2)
+                };
+                let sealed = seal_v2(&key(), &message, &opts).unwrap();
+                let h = parse_header_v2(&sealed).unwrap();
+                assert_eq!(h.chunk_count as usize, chunks);
+                let mut offset = HEADER_V2_LEN;
+                for (i, chunk) in message.chunks(CHUNK_BYTES).enumerate() {
+                    let frame = &sealed[offset..];
+                    let count = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
+                    let body = &frame[CHUNK_HEADER_LEN..CHUNK_HEADER_LEN + count * 2];
+                    let got: Vec<u16> = body
+                        .chunks_exact(2)
+                        .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                        .collect();
+                    let source = LfsrSource::new(chunk_seed(MASTER, i as u32)).unwrap();
+                    let mut session =
+                        EncryptSession::with_options(key(), source, algorithm, Profile::Streaming);
+                    let want = session.encrypt(chunk).unwrap();
+                    assert_eq!(got, want, "{algorithm} chunk {i} of {chunks}");
+                    offset += CHUNK_HEADER_LEN + count * 2;
+                }
+                assert_eq!(offset, sealed.len());
+                assert_eq!(open_v2(&key(), &sealed).unwrap(), message);
+            }
+        }
     }
 
     #[test]

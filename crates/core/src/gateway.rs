@@ -9,35 +9,19 @@
 //! of small messages from many streams into single submissions to the
 //! shared [`WorkerPool`].
 //!
-//! Three layers of API, from raw to wire-ready:
+//! Two layers of API:
 //!
 //! * [`StreamMux::encrypt`]/[`StreamMux::decrypt`] — one message on one
 //!   stream, raw 16-bit blocks.
-//! * [`StreamMux::encrypt_batch`]/[`StreamMux::decrypt_batch`] — many
-//!   messages across many streams, one pool submission per busy shard.
-//! * [`StreamMux::seal_batch`]/[`StreamMux::open_batch`] — the same, but
-//!   each message travels as a self-describing *gateway frame* carrying
-//!   its stream id and bit length.
+//! * [`StreamMux::submit_batch`] — many encrypts, decrypts and rekeys
+//!   across many streams, one pool submission per busy shard.
 //!
 //! Streams are evictable: [`StreamMux::evict`] serialises a stream's
 //! entire resume state (key, cursors, LFSR state) into a snapshot byte
 //! string and [`StreamMux::restore`] resumes it bit-exactly — the software
 //! analogue of context-switching the FPGA core between channels.
 //!
-//! # Wire formats
-//!
-//! Gateway frame (little-endian):
-//!
-//! ```text
-//! offset size field
-//! 0      4    magic  "MHGF"
-//! 4      1    version (1)
-//! 5      3    reserved (0)
-//! 8      8    stream id
-//! 16     4    message bit length
-//! 20     4    block count n
-//! 24     2n   blocks (u16 little-endian)
-//! ```
+//! # Snapshot format
 //!
 //! Stream snapshot (little-endian; **contains key material** — protect it
 //! like the key itself). Version 2 is emitted; version 1 — the same
@@ -70,7 +54,7 @@
 //! # Examples
 //!
 //! ```
-//! use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+//! use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
 //! use mhhea::Key;
 //!
 //! let key = Key::from_nibbles(&[(0, 3), (2, 5)])?;
@@ -81,35 +65,27 @@
 //!     rx.open(StreamId(id), StreamConfig::new(key.clone()))?;
 //! }
 //!
-//! let batch: Vec<(StreamId, Vec<u8>)> = (0..4)
-//!     .map(|id| (StreamId(id), format!("message on {id}").into_bytes()))
-//!     .collect();
-//! let frames = tx.seal_batch(batch);
-//! for frame in frames {
-//!     let (id, plain) = rx.open_frame(&frame?)?;
-//!     assert_eq!(plain, format!("message on {}", id.0).into_bytes());
+//! let messages: Vec<Vec<u8>> = (0..4).map(|id| format!("message on {id}").into_bytes()).collect();
+//! let seals = (0..4).zip(&messages).map(|(id, m)| (StreamId(id), StreamOp::Encrypt(m.clone())));
+//! let mut opens = Vec::new();
+//! for ((id, m), sealed) in (0..4).zip(&messages).zip(tx.submit_batch(seals.collect())) {
+//!     let StreamOutput::Blocks(blocks) = sealed? else { unreachable!("encrypts yield blocks") };
+//!     opens.push((StreamId(id), StreamOp::Decrypt { blocks, bit_len: m.len() * 8 }));
+//! }
+//! for (opened, m) in rx.submit_batch(opens).into_iter().zip(&messages) {
+//!     assert_eq!(opened?, StreamOutput::Plain(m.clone()));
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::block::SpanTable;
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
-use crate::lanes::{seal_lanes, LaneSealJob, LANE_THRESHOLD};
 use crate::pipeline::{chunk_seed, WorkerPool};
 use crate::session::{CursorDecodeError, DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, MhheaError, Profile};
-
-/// Gateway frame magic bytes.
-pub const FRAME_MAGIC: [u8; 4] = *b"MHGF";
-/// Gateway frame format version.
-pub const FRAME_VERSION: u8 = 1;
-/// Gateway frame header size in bytes.
-pub const FRAME_HEADER_LEN: usize = 24;
 
 /// Stream snapshot magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MHSS";
@@ -127,11 +103,6 @@ pub const SNAPSHOT_V2_HEADER_LEN: usize = 44;
 
 /// Default shard count for [`StreamMux::new`].
 pub const DEFAULT_SHARDS: usize = 64;
-
-/// Largest message [`StreamMux::seal_batch`] will frame: the frame's bit
-/// length travels as a `u32`, so the byte count must stay under
-/// `u32::MAX / 8` (a larger message would silently wrap the field).
-pub const MAX_FRAME_MESSAGE_BYTES: usize = (u32::MAX / 8) as usize;
 
 /// Identifies one cipher stream within a [`StreamMux`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -211,39 +182,6 @@ impl StreamConfig {
     }
 }
 
-/// Errors decoding a gateway frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FrameDecodeError {
-    /// The frame does not start with [`FRAME_MAGIC`].
-    BadMagic,
-    /// Unsupported frame version.
-    UnsupportedVersion(u8),
-    /// The byte stream ended inside the header or block payload.
-    Truncated {
-        /// Bytes needed.
-        need: usize,
-        /// Bytes available.
-        have: usize,
-    },
-}
-
-impl core::fmt::Display for FrameDecodeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FrameDecodeError::BadMagic => write!(f, "not a gateway frame"),
-            FrameDecodeError::UnsupportedVersion(v) => {
-                write!(f, "unsupported frame version {v}")
-            }
-            FrameDecodeError::Truncated { need, have } => {
-                write!(f, "frame truncated: need {need} bytes, have {have}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameDecodeError {}
-
 /// Errors decoding a stream snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -320,17 +258,8 @@ pub enum GatewayError {
     StreamExists(StreamId),
     /// The id is not in the table (never opened, closed, or evicted).
     UnknownStream(StreamId),
-    /// The message is too large for a gateway frame's 32-bit bit-length
-    /// field (limit: [`MAX_FRAME_MESSAGE_BYTES`]). Chunk it — or use
-    /// [`crate::container::seal_v2`], which is built for large payloads.
-    MessageTooLarge {
-        /// The rejected message size.
-        bytes: usize,
-    },
     /// An engine-level failure on the stream's session.
     Engine(MhheaError),
-    /// A gateway frame failed to decode.
-    Frame(FrameDecodeError),
     /// A stream snapshot failed to decode.
     Snapshot(SnapshotDecodeError),
     /// [`StreamMux::evict_into`] could not write the snapshot to the
@@ -366,12 +295,7 @@ impl core::fmt::Display for GatewayError {
         match self {
             GatewayError::StreamExists(id) => write!(f, "stream {} already open", id.0),
             GatewayError::UnknownStream(id) => write!(f, "unknown stream {}", id.0),
-            GatewayError::MessageTooLarge { bytes } => write!(
-                f,
-                "message of {bytes} bytes exceeds the frame limit of {MAX_FRAME_MESSAGE_BYTES}"
-            ),
             GatewayError::Engine(e) => write!(f, "engine failure: {e}"),
-            GatewayError::Frame(e) => write!(f, "frame decode: {e}"),
             GatewayError::Snapshot(e) => write!(f, "snapshot decode: {e}"),
             GatewayError::SnapshotSink { kind } => {
                 write!(f, "snapshot sink write failed ({kind}); stream kept open")
@@ -395,7 +319,6 @@ impl std::error::Error for GatewayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GatewayError::Engine(e) => Some(e),
-            GatewayError::Frame(e) => Some(e),
             GatewayError::Snapshot(e) => Some(e),
             _ => None,
         }
@@ -405,12 +328,6 @@ impl std::error::Error for GatewayError {
 impl From<MhheaError> for GatewayError {
     fn from(e: MhheaError) -> Self {
         GatewayError::Engine(e)
-    }
-}
-
-impl From<FrameDecodeError> for GatewayError {
-    fn from(e: FrameDecodeError) -> Self {
-        GatewayError::Frame(e)
     }
 }
 
@@ -424,10 +341,9 @@ impl From<SnapshotDecodeError> for GatewayError {
 /// the duplex stream to drive, and with what.
 ///
 /// A transport serving live connections sees encrypts and decrypts
-/// interleaved in one tick; `submit_batch` lets it coalesce the whole
-/// mixed tick into a single pool submission instead of one
-/// [`StreamMux::encrypt_batch`] plus one [`StreamMux::decrypt_batch`]
-/// (which would also reorder operations on streams doing both).
+/// interleaved in one tick; `submit_batch` coalesces the whole mixed tick
+/// into a single pool submission without reordering operations on
+/// streams doing both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamOp {
     /// Encrypt the plaintext bytes on the stream's encrypt session.
@@ -478,6 +394,19 @@ struct StreamState {
 }
 
 impl StreamState {
+    /// Runs one batch operation on this stream.
+    fn apply(&mut self, id: StreamId, op: StreamOp) -> Result<StreamOutput, GatewayError> {
+        match op {
+            StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(self.enc.encrypt(&msg)?)),
+            StreamOp::Decrypt { blocks, bit_len } => {
+                Ok(StreamOutput::Plain(self.dec.decrypt(&blocks, bit_len)?))
+            }
+            StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
+                epoch: self.rekey(id, epoch)?,
+            }),
+        }
+    }
+
     /// Rotates both sessions to `epoch` atomically: the epoch's key from
     /// the ring, a fresh LFSR reseed on the encrypt side, both cursors
     /// back at the stream origin.
@@ -535,11 +464,8 @@ fn lock_shard(shard: &Shard) -> MutexGuard<'_, HashMap<u64, StreamState>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One shard's share of a batch: original position, stream, payload.
-type ShardItems<M> = Vec<(usize, StreamId, M)>;
-
-/// An opened frame: the stream it belongs to and its plaintext.
-type OpenedFrame = (StreamId, Vec<u8>);
+/// One shard's share of a batch: original position, stream, operation.
+type ShardItems = Vec<(usize, StreamId, StreamOp)>;
 
 #[derive(Debug)]
 struct MuxInner {
@@ -547,10 +473,6 @@ struct MuxInner {
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the count is a power of two.
     mask: u64,
-    /// Max in-flight pool jobs for batch calls (`0` asks the OS).
-    /// Atomic so [`StreamMux::set_workers`] is a plain store shared by
-    /// every clone — never a table rebuild.
-    workers: AtomicUsize,
 }
 
 impl MuxInner {
@@ -582,9 +504,9 @@ impl MuxInner {
 
 /// A sharded table of concurrent cipher streams sharing one worker pool.
 ///
-/// See the [module docs](crate::gateway) for the API tour and wire
-/// formats. Cloning a `StreamMux` is cheap and shares the table, so one
-/// gateway can be driven from many threads.
+/// See the [module docs](crate::gateway) for the API tour and the
+/// snapshot format. Cloning a `StreamMux` is cheap and shares the table,
+/// so one gateway can be driven from many threads.
 #[derive(Debug, Clone)]
 pub struct StreamMux {
     inner: Arc<MuxInner>,
@@ -612,24 +534,8 @@ impl StreamMux {
             inner: Arc::new(MuxInner {
                 shards,
                 mask: (count - 1) as u64,
-                workers: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// Builder form of [`StreamMux::set_workers`].
-    #[must_use]
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.set_workers(workers);
-        self
-    }
-
-    /// Caps in-flight pool jobs for batch calls (`0`, the default, asks
-    /// the OS). Takes effect for every clone of this mux from the next
-    /// batch call on — the setting lives in the shared table, so no
-    /// handle is invalidated.
-    pub fn set_workers(&self, workers: usize) {
-        self.inner.workers.store(workers, Ordering::Relaxed);
     }
 
     /// Number of shards in the session table.
@@ -851,193 +757,6 @@ impl StreamMux {
         })
     }
 
-    /// Runs `op` over a whole batch with one pool submission per busy
-    /// shard. Messages on the same stream keep their batch order (same
-    /// stream → same shard → same sequential job).
-    fn batch<M, R>(
-        &self,
-        batch: Vec<(StreamId, M)>,
-        op: impl Fn(&mut StreamState, StreamId, M) -> Result<R, GatewayError> + Send + Sync + 'static,
-    ) -> Vec<Result<R, GatewayError>>
-    where
-        M: Send + 'static,
-        R: Send + 'static,
-    {
-        self.batch_with_prepass(batch, |_, _| Vec::new(), op)
-    }
-
-    /// As [`StreamMux::batch`], but each shard first runs `prepass` under
-    /// its lock. The prepass may complete items early — removing them from
-    /// the shard's list and returning their `(position, result)` pairs —
-    /// which is the hook the bitsliced lane engine plugs into. The scalar
-    /// `op` loop runs after the prepass, so per-stream batch order holds:
-    /// a laned first operation commits its stream state before any of the
-    /// stream's later operations run.
-    fn batch_with_prepass<M, R>(
-        &self,
-        batch: Vec<(StreamId, M)>,
-        prepass: impl Fn(
-                &mut HashMap<u64, StreamState>,
-                &mut ShardItems<M>,
-            ) -> Vec<(usize, Result<R, GatewayError>)>
-            + Send
-            + Sync
-            + 'static,
-        op: impl Fn(&mut StreamState, StreamId, M) -> Result<R, GatewayError> + Send + Sync + 'static,
-    ) -> Vec<Result<R, GatewayError>>
-    where
-        M: Send + 'static,
-        R: Send + 'static,
-    {
-        let inner = Arc::clone(&self.inner);
-        let mut groups: HashMap<usize, ShardItems<M>> = HashMap::new();
-        for (pos, (id, msg)) in batch.into_iter().enumerate() {
-            groups
-                .entry(inner.shard_of(id))
-                .or_default()
-                .push((pos, id, msg));
-        }
-        let total: usize = groups.values().map(Vec::len).sum();
-        let groups: Vec<(usize, ShardItems<M>)> = groups.into_iter().collect();
-        let workers = inner.workers.load(Ordering::Relaxed);
-        let scattered: Vec<Vec<(usize, Result<R, GatewayError>)>> =
-            WorkerPool::global().map(groups, workers, move |_, (shard_idx, mut items)| {
-                let Some(shard) = inner.shards.get(shard_idx) else {
-                    // Unreachable: shard_of masks into range. Stay total.
-                    return items
-                        .into_iter()
-                        .map(|(pos, id, _)| (pos, Err(GatewayError::UnknownStream(id))))
-                        .collect();
-                };
-                // One lock acquisition covers the shard's whole share of
-                // the batch — the coalescing this API exists for.
-                let mut shard = lock_shard(shard);
-                let mut done = prepass(&mut shard, &mut items);
-                done.extend(items.into_iter().map(|(pos, id, msg)| {
-                    let r = match shard.get_mut(&id.0) {
-                        Some(state) => op(state, id, msg),
-                        None => Err(GatewayError::UnknownStream(id)),
-                    };
-                    (pos, r)
-                }));
-                done
-            });
-        // Pre-fill with the (unreachable) internal error so the scatter
-        // stays total: every reported position overwrites its slot.
-        let mut out: Vec<Result<R, GatewayError>> = (0..total)
-            .map(|position| Err(GatewayError::MissingResult { position }))
-            .collect();
-        for (pos, r) in scattered.into_iter().flatten() {
-            if let Some(slot) = out.get_mut(pos) {
-                *slot = r;
-            }
-        }
-        out
-    }
-
-    /// Encrypts many messages across many streams in one coalesced pool
-    /// submission. `results[i]` corresponds to `batch[i]`; messages on the
-    /// same stream are processed in batch order.
-    pub fn encrypt_batch(
-        &self,
-        batch: Vec<(StreamId, Vec<u8>)>,
-    ) -> Vec<Result<Vec<u16>, GatewayError>> {
-        self.batch(batch, |s, _, msg| Ok(s.enc.encrypt(&msg)?))
-    }
-
-    /// Decrypts many `(blocks, bit_len)` messages across many streams in
-    /// one coalesced pool submission (ordering as
-    /// [`StreamMux::encrypt_batch`]).
-    pub fn decrypt_batch(
-        &self,
-        batch: Vec<(StreamId, (Vec<u16>, usize))>,
-    ) -> Vec<Result<Vec<u8>, GatewayError>> {
-        self.batch(batch, |s, _, (blocks, bit_len)| {
-            Ok(s.dec.decrypt(&blocks, bit_len)?)
-        })
-    }
-
-    /// Encrypts many messages and wraps each in a self-describing gateway
-    /// frame (see the [module docs](crate::gateway) for the layout).
-    ///
-    /// Use [`crate::container::seal_v2`] instead when you have **one large
-    /// payload** to chunk across threads; use `seal_batch` when you have
-    /// **many small messages on live streams** — sessions persist across
-    /// calls, so per-message session setup and thread spawns are both
-    /// avoided.
-    /// When a busy shard's share of the batch holds at least
-    /// [`LANE_THRESHOLD`] compatible streaming encrypts (same algorithm
-    /// and key), those messages run through the bitsliced lane engine
-    /// ([`crate::lanes`]) in lockstep; everything else — small groups,
-    /// hardware-faithful streams, repeat messages on one stream — stays on
-    /// the scalar path. The output is bit-identical either way.
-    pub fn seal_batch(
-        &self,
-        batch: Vec<(StreamId, Vec<u8>)>,
-    ) -> Vec<Result<Vec<u8>, GatewayError>> {
-        self.batch_with_prepass(
-            batch,
-            |shard, items| {
-                lane_prepass(shard, items, |msg: &Vec<u8>| {
-                    // Oversized messages fall through to the scalar path,
-                    // which rejects them without advancing the stream.
-                    (msg.len() <= MAX_FRAME_MESSAGE_BYTES).then_some(msg.as_slice())
-                })
-                .into_iter()
-                .map(|(pos, id, msg, blocks)| (pos, Ok(encode_frame(id, msg.len() * 8, &blocks))))
-                .collect()
-            },
-            |s, id, msg| {
-                // Reject before encrypting: an oversized message must not
-                // advance the stream cursor and then emit a wrapped header.
-                if msg.len() > MAX_FRAME_MESSAGE_BYTES {
-                    return Err(GatewayError::MessageTooLarge { bytes: msg.len() });
-                }
-                let blocks = s.enc.encrypt(&msg)?;
-                Ok(encode_frame(id, msg.len() * 8, &blocks))
-            },
-        )
-    }
-
-    /// Decodes and decrypts many gateway frames, returning each frame's
-    /// stream id and plaintext. `results[i]` corresponds to `frames[i]`.
-    pub fn open_batch(
-        &self,
-        frames: Vec<Vec<u8>>,
-    ) -> Vec<Result<(StreamId, Vec<u8>), GatewayError>> {
-        // Decode headers up front (cheap) so frames shard by stream; the
-        // decryption itself runs pooled. Undecodable frames never reach
-        // the batch — their slots are filled with the decode error. Slots
-        // start at the (unreachable) internal error so the fill is total.
-        let mut out: Vec<Result<OpenedFrame, GatewayError>> = (0..frames.len())
-            .map(|position| Err(GatewayError::MissingResult { position }))
-            .collect();
-        let mut goods: Vec<(StreamId, (Vec<u16>, usize))> = Vec::with_capacity(frames.len());
-        let mut positions: Vec<usize> = Vec::with_capacity(frames.len());
-        for (pos, frame) in frames.iter().enumerate() {
-            match decode_frame(frame) {
-                Ok((id, bit_len, blocks)) => {
-                    goods.push((id, (blocks, bit_len)));
-                    positions.push(pos);
-                }
-                Err(e) => {
-                    if let Some(slot) = out.get_mut(pos) {
-                        *slot = Err(GatewayError::Frame(e));
-                    }
-                }
-            }
-        }
-        let results = self.batch(goods, |s, id, (blocks, bit_len)| {
-            Ok((id, s.dec.decrypt(&blocks, bit_len)?))
-        });
-        for (pos, r) in positions.into_iter().zip(results) {
-            if let Some(slot) = out.get_mut(pos) {
-                *slot = r;
-            }
-        }
-        out
-    }
-
     /// Runs a mixed batch of encrypts, decrypts and key rotations in one
     /// coalesced pool submission. `results[i]` corresponds to `batch[i]`;
     /// a failing stream fails only its own slots — shard-mates in the
@@ -1069,42 +788,51 @@ impl StreamMux {
         &self,
         batch: Vec<(StreamId, StreamOp)>,
     ) -> Vec<Result<StreamOutput, GatewayError>> {
-        self.batch_with_prepass(
-            batch,
-            |shard, items| {
-                // Only a stream's first op can lane-pack, and only when it
-                // is an encrypt; decrypts and rekeys (and everything after
-                // the first op) run scalar, in batch order, afterwards.
-                lane_prepass(shard, items, |op: &StreamOp| match op {
-                    StreamOp::Encrypt(msg) => Some(msg.as_slice()),
-                    _ => None,
-                })
-                .into_iter()
-                .map(|(pos, _, _, blocks)| (pos, Ok(StreamOutput::Blocks(blocks))))
-                .collect()
-            },
-            |s, id, op| match op {
-                StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.enc.encrypt(&msg)?)),
-                StreamOp::Decrypt { blocks, bit_len } => {
-                    Ok(StreamOutput::Plain(s.dec.decrypt(&blocks, bit_len)?))
-                }
-                StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
-                    epoch: s.rekey(id, epoch)?,
-                }),
-            },
-        )
-    }
-
-    /// Single-frame convenience over [`StreamMux::open_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Frame decode errors as [`GatewayError::Frame`]; unknown ids and
-    /// engine failures as for [`StreamMux::decrypt`].
-    pub fn open_frame(&self, frame: &[u8]) -> Result<(StreamId, Vec<u8>), GatewayError> {
-        let (id, bit_len, blocks) = decode_frame(frame)?;
-        let plain = self.decrypt(id, &blocks, bit_len)?;
-        Ok((id, plain))
+        let inner = Arc::clone(&self.inner);
+        let mut groups: HashMap<usize, ShardItems> = HashMap::new();
+        for (pos, (id, op)) in batch.into_iter().enumerate() {
+            groups
+                .entry(inner.shard_of(id))
+                .or_default()
+                .push((pos, id, op));
+        }
+        let total: usize = groups.values().map(Vec::len).sum();
+        let groups: Vec<(usize, ShardItems)> = groups.into_iter().collect();
+        let scattered: Vec<Vec<(usize, Result<StreamOutput, GatewayError>)>> = WorkerPool::global()
+            .map(groups, 0, move |_, (shard_idx, items)| {
+                let Some(shard) = inner.shards.get(shard_idx) else {
+                    // Unreachable: shard_of masks into range. Stay total.
+                    return items
+                        .into_iter()
+                        .map(|(pos, id, _)| (pos, Err(GatewayError::UnknownStream(id))))
+                        .collect();
+                };
+                // One lock acquisition covers the shard's whole share of
+                // the batch — the coalescing this API exists for. Items run
+                // in batch order, so a stream's operations keep theirs.
+                let mut shard = lock_shard(shard);
+                items
+                    .into_iter()
+                    .map(|(pos, id, op)| {
+                        let r = match shard.get_mut(&id.0) {
+                            Some(state) => state.apply(id, op),
+                            None => Err(GatewayError::UnknownStream(id)),
+                        };
+                        (pos, r)
+                    })
+                    .collect()
+            });
+        // Pre-fill with the (unreachable) internal error so the scatter
+        // stays total: every reported position overwrites its slot.
+        let mut out: Vec<Result<StreamOutput, GatewayError>> = (0..total)
+            .map(|position| Err(GatewayError::MissingResult { position }))
+            .collect();
+        for (pos, r) in scattered.into_iter().flatten() {
+            if let Some(slot) = out.get_mut(pos) {
+                *slot = r;
+            }
+        }
+        out
     }
 
     /// Serialises a stream's full resume state **without** removing it
@@ -1184,118 +912,6 @@ impl StreamMux {
     }
 }
 
-/// The lane-filling scheduler: one shard's share of a batch enters, and
-/// every stream whose *first* operation is an eligible streaming encrypt
-/// becomes a lane candidate. Candidates are grouped by cipher parameters
-/// (algorithm + key — one span schedule serves a whole group) and groups of
-/// at least [`LANE_THRESHOLD`] run through [`seal_lanes`] in bitsliced
-/// lockstep. Smaller groups, ineligible ops, and every stream's later ops
-/// stay scalar; the scalar loop runs after the lane commits, so per-stream
-/// batch order is preserved.
-///
-/// Completed items are removed from `items` and returned as
-/// `(batch position, id, payload, cipher blocks)`. The prepass is
-/// all-or-nothing per stream: state snapshots are read-only, and a stream
-/// is only advanced (`lane_commit`) once its kernel output is in hand —
-/// any failure leaves the stream untouched for the scalar path to redo.
-fn lane_prepass<M>(
-    shard: &mut HashMap<u64, StreamState>,
-    items: &mut ShardItems<M>,
-    as_encrypt: impl Fn(&M) -> Option<&[u8]>,
-) -> Vec<(usize, StreamId, M, Vec<u16>)> {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut groups: HashMap<(Algorithm, Key), Vec<usize>> = HashMap::new();
-    for (ix, (_pos, id, payload)) in items.iter().enumerate() {
-        if !seen.insert(id.0) {
-            continue; // only a stream's first op may jump the queue
-        }
-        if as_encrypt(payload).is_none() {
-            continue;
-        }
-        let Some(state) = shard.get(&id.0) else {
-            continue; // unknown stream: the scalar path reports it
-        };
-        let (key, algorithm, profile) = state.enc.params();
-        if profile != Profile::Streaming {
-            continue; // hardware-faithful buffering is inherently serial
-        }
-        groups.entry((algorithm, key.clone())).or_default().push(ix);
-    }
-    let mut sealed: HashMap<usize, Vec<u16>> = HashMap::new();
-    for ((algorithm, key), group) in groups {
-        if group.len() < LANE_THRESHOLD {
-            continue; // too few lanes to beat the scalar path
-        }
-        let mut jobs: Vec<LaneSealJob> = Vec::with_capacity(group.len());
-        for &ix in &group {
-            let Some((_, id, payload)) = items.get(ix) else {
-                continue;
-            };
-            let Some(message) = as_encrypt(payload) else {
-                continue;
-            };
-            let Some(state) = shard.get(&id.0) else {
-                continue;
-            };
-            let (block_index, lfsr) = state.enc.lane_snapshot();
-            jobs.push(LaneSealJob {
-                message,
-                state: lfsr,
-                block_index,
-            });
-        }
-        if jobs.len() != group.len() {
-            continue; // a candidate went missing (unreachable): scalar
-        }
-        let table = SpanTable::new(&key, algorithm);
-        let Ok(outs) = seal_lanes(&key, algorithm, &table, &jobs) else {
-            continue; // kernel refused: scalar fallback
-        };
-        drop(jobs);
-        for (&ix, out) in group.iter().zip(outs) {
-            let Some((_, id, _)) = items.get(ix) else {
-                continue;
-            };
-            let Some(state) = shard.get_mut(&id.0) else {
-                continue;
-            };
-            if state.enc.lane_commit(out.block_index, out.state).is_err() {
-                continue; // stream untouched: the scalar path redoes it
-            }
-            sealed.insert(ix, out.blocks);
-        }
-    }
-    if sealed.is_empty() {
-        return Vec::new();
-    }
-    let mut done = Vec::with_capacity(sealed.len());
-    let rest = std::mem::take(items);
-    for (ix, (pos, id, payload)) in rest.into_iter().enumerate() {
-        match sealed.remove(&ix) {
-            Some(blocks) => done.push((pos, id, payload, blocks)),
-            None => items.push((pos, id, payload)),
-        }
-    }
-    done
-}
-
-/// Builds the on-wire frame for one sealed message.
-fn encode_frame(id: StreamId, bit_len: usize, blocks: &[u16]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + blocks.len() * 2);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(FRAME_VERSION);
-    out.extend_from_slice(&[0, 0, 0]); // reserved
-    out.extend_from_slice(&id.0.to_le_bytes());
-    // lint: allow(truncating-cast, reason = "callers reject messages over MAX_FRAME_MESSAGE_BYTES = u32::MAX/8, so bit_len = len*8 fits u32")
-    out.extend_from_slice(&(bit_len as u32).to_le_bytes());
-    // lint: allow(truncating-cast, reason = "the engine emits at most one block per plaintext bit, and bit_len fits u32 (see above)")
-    out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for b in blocks {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out
-}
-
 /// Little-endian `u16` at `at`, or `None` past the end.
 fn le_u16(bytes: &[u8], at: usize) -> Option<u16> {
     bytes
@@ -1321,49 +937,6 @@ fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
         .try_into()
         .ok()
         .map(u64::from_le_bytes)
-}
-
-/// `u16` from a little-endian byte pair. Total: callers hand it exact
-/// two-byte chunks; a short slice reads as zero-padded rather than
-/// panicking on the serving path.
-fn le_pair(c: &[u8]) -> u16 {
-    let lo = c.first().copied().unwrap_or(0);
-    let hi = c.get(1).copied().unwrap_or(0);
-    u16::from_le_bytes([lo, hi])
-}
-
-/// Parses a gateway frame into `(stream id, bit length, blocks)`.
-fn decode_frame(frame: &[u8]) -> Result<(StreamId, usize, Vec<u16>), FrameDecodeError> {
-    let truncated = |need: usize| FrameDecodeError::Truncated {
-        need,
-        have: frame.len(),
-    };
-    if frame.len() < FRAME_HEADER_LEN {
-        return Err(truncated(FRAME_HEADER_LEN));
-    }
-    if frame.get(0..4) != Some(FRAME_MAGIC.as_slice()) {
-        return Err(FrameDecodeError::BadMagic);
-    }
-    match frame.get(4) {
-        Some(&FRAME_VERSION) => {}
-        Some(&v) => return Err(FrameDecodeError::UnsupportedVersion(v)),
-        None => return Err(truncated(FRAME_HEADER_LEN)),
-    }
-    let Some(id) = le_u64(frame, 8) else {
-        return Err(truncated(FRAME_HEADER_LEN));
-    };
-    let Some(bit_len) = le_u32(frame, 16) else {
-        return Err(truncated(FRAME_HEADER_LEN));
-    };
-    let Some(block_count) = le_u32(frame, 20) else {
-        return Err(truncated(FRAME_HEADER_LEN));
-    };
-    let need = FRAME_HEADER_LEN + (block_count as usize) * 2;
-    let Some(body) = frame.get(FRAME_HEADER_LEN..need) else {
-        return Err(truncated(need));
-    };
-    let blocks = body.chunks_exact(2).map(le_pair).collect();
-    Ok((StreamId(id), bit_len as usize, blocks))
 }
 
 fn algorithm_tag(algorithm: Algorithm) -> u8 {
@@ -1602,41 +1175,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oversized_message_rejected_before_advancing_cursor() {
-        let mux = StreamMux::with_shards(2);
-        mux.open(StreamId(1), StreamConfig::new(key())).unwrap();
-        // One byte past the frame's u32 bit-length ceiling. The Vec is
-        // zeroed and never read: the size check fires before encryption.
-        let oversized = vec![0u8; MAX_FRAME_MESSAGE_BYTES + 1];
-        let results = mux.seal_batch(vec![(StreamId(1), oversized)]);
-        assert_eq!(
-            results,
-            vec![Err(GatewayError::MessageTooLarge {
-                bytes: MAX_FRAME_MESSAGE_BYTES + 1
-            })]
-        );
-        // The stream is untouched and still usable.
-        assert_eq!(mux.cursor(StreamId(1)).unwrap().block_index, 0);
-        assert!(mux.encrypt(StreamId(1), b"still fine").is_ok());
-    }
-
-    #[test]
-    fn worker_setting_is_shared_by_clones_without_divorcing_them() {
-        let mux = StreamMux::with_shards(2);
-        mux.open(StreamId(5), StreamConfig::new(key())).unwrap();
-        let peer = mux.clone();
-        let mux = mux.with_workers(3); // builder form must not rebuild the table
-        assert_eq!(peer.len(), 1, "clone lost the shared table");
-        peer.set_workers(1); // either handle can reconfigure
-        let blocks = mux.encrypt(StreamId(5), b"shared").unwrap();
-        // The clone sees the cursor advance the original produced.
-        assert_eq!(
-            peer.cursor(StreamId(5)).unwrap().block_index,
-            blocks.len() as u64
-        );
-    }
-
     /// An `io::Write` sink that accepts `limit` bytes and then fails —
     /// simulates a snapshot serialisation dying midway (disk full, broken
     /// pipe) so the evict-atomicity regression test below can prove the
@@ -1734,12 +1272,9 @@ mod tests {
         let msgs: Vec<Vec<u8>> = (0..3u64)
             .map(|id| format!("duplex message {id}").into_bytes())
             .collect();
-        let sealed = tx.encrypt_batch(
-            (0..3u64)
-                .map(|id| (StreamId(id), msgs[id as usize].clone()))
-                .collect(),
-        );
-        let blocks: Vec<Vec<u16>> = sealed.into_iter().map(Result::unwrap).collect();
+        let blocks: Vec<Vec<u16>> = (0..3u64)
+            .map(|id| tx.encrypt(StreamId(id), &msgs[id as usize]).unwrap())
+            .collect();
 
         // One batch: decrypt stream 0, fail stream 1 (truncated), decrypt
         // stream 2, and encrypt a follow-up on stream 0 — all interleaved.
@@ -2053,59 +1588,6 @@ mod tests {
         );
     }
 
-    /// White-box: the lane prepass engages for a compatible group, removes
-    /// the laned items (bit-exact vs scalar), and leaves ineligible ops —
-    /// hardware-faithful streams, repeat messages — on the scalar path.
-    #[test]
-    fn lane_prepass_packs_compatible_first_ops() {
-        let mux = StreamMux::with_shards(1);
-        for id in 0..19u64 {
-            mux.open(StreamId(id), StreamConfig::new(key())).unwrap();
-        }
-        // Stream 19 is hardware-faithful: never laned.
-        mux.open(
-            StreamId(19),
-            StreamConfig::new(key()).with_profile(Profile::HardwareFaithful),
-        )
-        .unwrap();
-        let reference = StreamMux::with_shards(1);
-        for id in 0..19u64 {
-            reference
-                .open(StreamId(id), StreamConfig::new(key()))
-                .unwrap();
-        }
-        let mut items: ShardItems<Vec<u8>> = (0..20u64)
-            .map(|id| (id as usize, StreamId(id), format!("msg {id}").into_bytes()))
-            .collect();
-        // A second message on stream 0 must stay scalar (order!).
-        items.push((20, StreamId(0), b"second".to_vec()));
-        let mut shard = lock_shard(&mux.inner.shards[0]);
-        let done = lane_prepass(&mut shard, &mut items, |m: &Vec<u8>| Some(m.as_slice()));
-        drop(shard);
-        assert_eq!(done.len(), 19, "19 compatible first ops lane-pack");
-        assert_eq!(items.len(), 2, "HW stream + repeat message stay scalar");
-        for (pos, id, msg, blocks) in done {
-            assert_eq!(pos, id.0 as usize);
-            assert_eq!(blocks, reference.encrypt(id, &msg).unwrap());
-        }
-    }
-
-    #[test]
-    fn lane_prepass_skips_below_threshold() {
-        let mux = StreamMux::with_shards(1);
-        let few = LANE_THRESHOLD as u64 - 1;
-        for id in 0..few {
-            mux.open(StreamId(id), StreamConfig::new(key())).unwrap();
-        }
-        let mut items: ShardItems<Vec<u8>> = (0..few)
-            .map(|id| (id as usize, StreamId(id), vec![0xAB; 8]))
-            .collect();
-        let mut shard = lock_shard(&mux.inner.shards[0]);
-        let done = lane_prepass(&mut shard, &mut items, |m: &Vec<u8>| Some(m.as_slice()));
-        assert!(done.is_empty(), "below threshold nothing lanes");
-        assert_eq!(items.len(), few as usize);
-    }
-
     #[test]
     fn zero_seed_rejected() {
         let mux = StreamMux::new();
@@ -2113,28 +1595,6 @@ mod tests {
             mux.open(StreamId(9), StreamConfig::new(key()).with_seed(0)),
             Err(GatewayError::Engine(MhheaError::InvalidSeed))
         );
-    }
-
-    #[test]
-    fn frame_decode_rejects_garbage() {
-        assert_eq!(
-            decode_frame(b"nope"),
-            Err(FrameDecodeError::Truncated { need: 24, have: 4 })
-        );
-        let mut f = encode_frame(StreamId(7), 8, &[0xABCD]);
-        f[0] = b'X';
-        assert_eq!(decode_frame(&f), Err(FrameDecodeError::BadMagic));
-        let mut f = encode_frame(StreamId(7), 8, &[0xABCD]);
-        f[4] = 9;
-        assert_eq!(
-            decode_frame(&f),
-            Err(FrameDecodeError::UnsupportedVersion(9))
-        );
-        let f = encode_frame(StreamId(7), 8, &[0xABCD, 0x1234]);
-        assert!(matches!(
-            decode_frame(&f[..f.len() - 1]),
-            Err(FrameDecodeError::Truncated { .. })
-        ));
     }
 
     #[test]

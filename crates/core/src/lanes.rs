@@ -10,30 +10,29 @@
 //! independent — into `u64` lanes and runs the LFSR leap and the
 //! hiding-vector substitution across all lanes per instruction.
 //!
-//! Three engine backends now coexist:
-//!
-//! * the **per-bit** reference in [`crate::block`] (tests and
-//!   cross-checks);
-//! * the **scalar word-level** path ([`crate::block::SpanTable`]) used
-//!   by the sessions;
-//! * the **lane** path here, used by the batch APIs
-//!   ([`crate::gateway::StreamMux::seal_batch`],
-//!   [`crate::container::seal_v2`]) when enough compatible jobs are
-//!   queued ([`LANE_THRESHOLD`]).
+//! **No production path calls this kernel.** The sessions' scalar
+//! word-level path ([`crate::block::SpanTable`]) is the one cipher path;
+//! the per-bit reference in [`crate::block`] cross-checks it. The kernel
+//! once sat under the gateway's batch calls and under container v2, and
+//! it was taken off both once per-session setup stopped dominating: the
+//! serving path never gathered enough same-key encrypts in one shard to
+//! fill lanes, and container v2 ran faster and smaller without it (see
+//! `docs/ARCHITECTURE.md`, "Engine backends"). It stays as a standalone,
+//! tested kernel only because the benchmark's layer ladder (`perfbench/`)
+//! still measures it; removing it goes together with retiring those
+//! ladder rungs.
 //!
 //! Lanes run in lockstep: at step `t` every active lane produces exactly
 //! one cipher block at schedule position `block_index + t`. A lane
 //! *retires* when fewer than 8 message bits remain (a span can be up to
 //! 8 bits wide, and the kernel always embeds full spans); retired lanes
-//! finish on the scalar `SpanTable` path inside this module, which is
-//! also where singletons and below-threshold batches stay. The engine is
-//! [`crate::Profile::Streaming`]-only — the hardware-faithful profile's
-//! 16-bit alignment buffer is inherently serial and always takes the
-//! scalar path.
+//! finish on the scalar `SpanTable` path inside this module. The engine
+//! is [`crate::Profile::Streaming`]-only — the hardware-faithful
+//! profile's 16-bit alignment buffer is inherently serial.
 //!
 //! Bit-exactness against the scalar sessions is proven by in-module
-//! differential tests plus the `lanes` differential proptests in
-//! `crates/core/tests`.
+//! differential tests plus the kernel proptest in
+//! `crates/core/tests/lanes.rs`.
 
 use crate::block::SpanTable;
 use crate::source::LeapNetwork;
@@ -41,12 +40,6 @@ use crate::{Algorithm, Key, MhheaError};
 
 /// Maximum number of lanes one kernel invocation carries (`u64` width).
 pub const MAX_LANES: usize = 64;
-
-/// Minimum number of compatible jobs before the batch paths switch from
-/// the scalar `SpanTable` engine to the lane engine. Below this the
-/// fixed kernel cost (transposes, bitsliced leap) outweighs the per-lane
-/// amortisation and the scalar path wins.
-pub const LANE_THRESHOLD: usize = 16;
 
 /// One stream's seal work order for [`seal_lanes`].
 #[derive(Debug, Clone, Copy)]

@@ -32,19 +32,20 @@
 //!   an explicit [`StreamCursor`], so multi-message traffic keeps both
 //!   endpoints' key schedules in lockstep; both sessions rekey in place
 //!   to a new [`KeyRing`] epoch with a bit-exact cursor handoff.
-//! * [`lanes`] — the bitsliced lockstep engine: up to 64 streams (or
-//!   container chunks) packed one-per-bit into `u64` lanes, advancing
-//!   every lane's LFSR and hiding-vector substitution per instruction;
-//!   the batch APIs fall back to the scalar span-table path for tails
-//!   and below-threshold batches.
+//! * [`lanes`] — a standalone bitsliced kernel: up to 64 streams packed
+//!   one-per-bit into `u64` lanes, advancing every lane's LFSR and
+//!   hiding-vector substitution per instruction. No production path
+//!   calls it (the sessions' span-table path is the one cipher path); the
+//!   benchmark's layer ladder still measures it.
 //! * [`pipeline`] — chunk planning, per-chunk seed derivation and the
 //!   persistent [`pipeline::WorkerPool`] every parallel path submits to.
 //! * [`container`] — a self-describing byte format so decryption knows the
 //!   message length, profile and key fingerprint; v2 frames the payload
 //!   into independently-seeded chunks that seal and open in parallel.
 //! * [`gateway`] — a sharded [`StreamMux`] owning thousands of concurrent
-//!   sessions keyed by [`StreamId`], with batched encrypt/seal APIs and
-//!   evictable, bit-exact-resumable stream snapshots.
+//!   sessions keyed by [`StreamId`], with one mixed batch API
+//!   ([`StreamMux::submit_batch`]) and evictable, bit-exact-resumable
+//!   stream snapshots.
 //! * [`stats`] — expected span width, expansion factor and throughput
 //!   accounting used by the paper's evaluation.
 //!

@@ -23,11 +23,12 @@ use std::thread::JoinHandle;
 
 /// Default chunk size for [`crate::container::SealV2Options`]: 16 KiB.
 ///
-/// Sized so that a 1 MiB payload fans out into 64 chunks — one full
-/// lane-engine batch ([`crate::lanes::MAX_LANES`]) — while each chunk
-/// stays large enough that the per-chunk frame overhead is noise. The
-/// format is self-describing, so containers sealed with the old 64 KiB
-/// default still open unchanged.
+/// The chunk size fixes where each per-chunk LFSR reseed falls, so
+/// changing the default would change the bytes every default-sealed
+/// container holds; the value stays for that reason. Each chunk is large
+/// enough that the per-chunk frame overhead is noise. The format is
+/// self-describing, so containers sealed with the old 64 KiB default
+/// still open unchanged.
 pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024;
 
 /// Derives the per-chunk LFSR seed from a master seed and chunk index.

@@ -389,23 +389,6 @@ impl EncryptSession<LfsrSource> {
         let source = LfsrSource::new(ring.seed(epoch)).map_err(|_| MhheaError::InvalidSeed)?;
         self.rekey_with(ring.key(epoch).clone(), source, epoch)
     }
-
-    /// Lane-engine handoff: the schedule position and LFSR register the
-    /// bitsliced kernel resumes this stream from.
-    pub(crate) fn lane_snapshot(&self) -> (u64, u16) {
-        (self.cursor.block_index, self.source.state())
-    }
-
-    /// Lane-engine handback: moves the stream to the kernel's final
-    /// schedule position and LFSR register — the exact state a scalar
-    /// [`EncryptSession::encrypt`] of the same bytes would have reached.
-    pub(crate) fn lane_commit(&mut self, block_index: u64, state: u16) -> Result<(), MhheaError> {
-        self.source
-            .set_state(state)
-            .map_err(|_| MhheaError::InvalidSeed)?;
-        self.cursor.block_index = block_index;
-        Ok(())
-    }
 }
 
 /// A stateful decryption endpoint mirroring an [`EncryptSession`].

@@ -101,8 +101,8 @@ impl LfsrSource {
         self.state
     }
 
-    /// Repositions the register at `state`. This is how the lane engine
-    /// hands a stream back to the scalar path bit-exactly.
+    /// Repositions the register at `state`: the next vector is the leap
+    /// from `state`, exactly as if the register had been seeded there.
     ///
     /// # Errors
     ///

@@ -1,8 +1,8 @@
 //! Integration tests for the multi-stream gateway: batched traffic across
-//! many streams, wire frames, and the evict/restore snapshot cycle.
+//! many streams and the evict/restore snapshot cycle.
 
-use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux};
-use mhhea::{Algorithm, Key, Profile};
+use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
+use mhhea::{Algorithm, Key, MhheaError, Profile};
 use proptest::prelude::*;
 
 fn key() -> Key {
@@ -20,6 +20,27 @@ fn duplex_pair(ids: impl Iterator<Item = u64>, profile: Profile) -> (StreamMux, 
         rx.open(StreamId(id), cfg).unwrap();
     }
     (tx, rx)
+}
+
+/// One `submit_batch` of encrypts; every slot must succeed.
+fn seal_all(mux: &StreamMux, batch: &[(StreamId, Vec<u8>)]) -> Vec<Vec<u16>> {
+    let ops = batch
+        .iter()
+        .map(|(id, msg)| (*id, StreamOp::Encrypt(msg.clone())))
+        .collect();
+    mux.submit_batch(ops)
+        .into_iter()
+        .map(|r| match r {
+            Ok(StreamOutput::Blocks(blocks)) => blocks,
+            other => panic!("encrypt slot failed: {other:?}"),
+        })
+        .collect()
+}
+
+/// The decrypt op that opens `blocks` sealed from `plain` on `id`.
+fn decrypt_op(id: StreamId, blocks: Vec<u16>, plain: &[u8]) -> (StreamId, StreamOp) {
+    let bit_len = plain.len() * 8;
+    (id, StreamOp::Decrypt { blocks, bit_len })
 }
 
 /// A batch mixing several messages per stream must round-trip with
@@ -47,16 +68,19 @@ fn batched_traffic_roundtrips_all_modes() {
                     ));
                 }
             }
-            let expected: Vec<Vec<u8>> = batch.iter().map(|(_, m)| m.clone()).collect();
-            let sealed = tx.encrypt_batch(batch.clone());
-            let dec_batch: Vec<(StreamId, (Vec<u16>, usize))> = sealed
-                .iter()
+            let sealed = seal_all(&tx, &batch);
+            let dec_batch = sealed
+                .into_iter()
                 .zip(&batch)
-                .map(|(blocks, (id, msg))| (*id, (blocks.as_ref().unwrap().clone(), msg.len() * 8)))
+                .map(|(blocks, (id, msg))| decrypt_op(*id, blocks, msg))
                 .collect();
-            let opened = rx.decrypt_batch(dec_batch);
-            for (got, want) in opened.into_iter().zip(expected) {
-                assert_eq!(got.unwrap(), want, "alg={algorithm} profile={profile}");
+            let opened = rx.submit_batch(dec_batch);
+            for (got, (_, want)) in opened.into_iter().zip(batch) {
+                assert_eq!(
+                    got,
+                    Ok(StreamOutput::Plain(want)),
+                    "alg={algorithm} profile={profile}"
+                );
             }
         }
     }
@@ -77,61 +101,110 @@ fn batch_equals_sequential_singles() {
             ));
         }
     }
-    let batched = tx_batch.encrypt_batch(batch.clone());
+    let batched = seal_all(&tx_batch, &batch);
     for ((id, msg), got) in batch.into_iter().zip(batched) {
         let single = tx_single.encrypt(id, &msg).unwrap();
-        assert_eq!(got.unwrap(), single, "stream {id}");
+        assert_eq!(got, single, "stream {id}");
     }
 }
 
-/// Gateway frames carry everything the receiver needs: id, bit length,
-/// blocks. Unknown ids and corrupt frames error without disturbing the
-/// healthy streams in the same batch.
+/// A sealed batch opened with one message retargeted to an unknown stream
+/// id: that slot errors without disturbing the healthy streams in the
+/// same batch.
 #[test]
 fn seal_open_batch_with_errors_interleaved() {
     let (tx, rx) = duplex_pair(0..5, Profile::Streaming);
     let batch: Vec<(StreamId, Vec<u8>)> = (0..5u64)
         .map(|id| (StreamId(id), format!("payload {id}").into_bytes()))
         .collect();
-    let mut frames: Vec<Vec<u8>> = tx
-        .seal_batch(batch)
+    let sealed = seal_all(&tx, &batch);
+    let mut opens: Vec<(StreamId, StreamOp)> = sealed
         .into_iter()
-        .map(Result::unwrap)
+        .zip(&batch)
+        .map(|(blocks, (id, msg))| decrypt_op(*id, blocks, msg))
         .collect();
-    // Frame 1 gets corrupted magic; frame 3 is retargeted to an unknown
-    // stream id (id bytes live at offset 8).
-    frames[1][0] = b'X';
-    frames[3][8..16].copy_from_slice(&999u64.to_le_bytes());
-    let opened = rx.open_batch(frames);
+    opens[3].0 = StreamId(999);
+    let opened = rx.submit_batch(opens);
     assert_eq!(opened.len(), 5);
-    for (i, result) in opened.iter().enumerate() {
-        match i {
-            1 => assert!(
-                matches!(result, Err(GatewayError::Frame(_))),
-                "frame 1: {result:?}"
-            ),
-            3 => assert_eq!(
-                result,
-                &Err(GatewayError::UnknownStream(StreamId(999))),
-                "frame 3"
-            ),
-            _ => {
-                let (id, plain) = result.as_ref().unwrap();
-                assert_eq!(plain, &format!("payload {}", id.0).into_bytes());
-            }
+    for (i, result) in opened.into_iter().enumerate() {
+        if i == 3 {
+            assert_eq!(result, Err(GatewayError::UnknownStream(StreamId(999))));
+        } else {
+            let want = format!("payload {i}").into_bytes();
+            assert_eq!(result, Ok(StreamOutput::Plain(want)), "slot {i}");
         }
     }
 }
 
-/// A poisoned slot inside `seal_batch` — an oversized message that is
-/// rejected before encryption — must fail only its own stream: shard-mates
-/// in the same batch stay bit-exact with a control mux that never saw the
-/// poison, and the poisoned stream itself is left untouched and usable.
+/// A stream fed truncated ciphertext inside a `submit_batch` fails alone:
+/// one shard forces every stream into the same lock and the same
+/// sequential pool job as the poisoned one, yet shard-mates' plaintexts
+/// are bit-exact with a control mux that never saw the poison, and the
+/// poisoned stream's cursor is untouched (the full blocks still open).
+#[test]
+fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
+    let tx = StreamMux::with_shards(1);
+    let rx = StreamMux::with_shards(1);
+    let rx_control = StreamMux::with_shards(1);
+    for id in 0..6u64 {
+        let cfg = StreamConfig::new(key()).with_seed(0x3000 + id as u16);
+        tx.open(StreamId(id), cfg.clone()).unwrap();
+        rx.open(StreamId(id), cfg.clone()).unwrap();
+        rx_control.open(StreamId(id), cfg).unwrap();
+    }
+    let batch: Vec<(StreamId, Vec<u8>)> = (0..6u64)
+        .map(|id| {
+            (
+                StreamId(id),
+                format!("batch message for stream {id}").into_bytes(),
+            )
+        })
+        .collect();
+    let sealed = seal_all(&tx, &batch);
+
+    let make_batch = |truncate: bool| -> Vec<(StreamId, StreamOp)> {
+        sealed
+            .iter()
+            .zip(&batch)
+            .map(|(blocks, (id, msg))| {
+                let mut blocks = blocks.clone();
+                if truncate && id.0 == 3 {
+                    blocks.truncate(1);
+                }
+                decrypt_op(*id, blocks, msg)
+            })
+            .collect()
+    };
+    let control_out = rx_control.submit_batch(make_batch(false));
+    let victim_out = rx.submit_batch(make_batch(true));
+
+    assert!(matches!(
+        victim_out[3],
+        Err(GatewayError::Engine(MhheaError::CiphertextTruncated { .. }))
+    ));
+    for (i, (got, want)) in victim_out.iter().zip(&control_out).enumerate() {
+        if i != 3 {
+            assert_eq!(got, want, "stream {i} diverged");
+            assert_eq!(got, &Ok(StreamOutput::Plain(batch[i].1.clone())));
+        }
+    }
+    // The failed decrypt rolled back: the untruncated blocks still open
+    // on the same mux, bit-exactly.
+    assert_eq!(
+        rx.decrypt(StreamId(3), &sealed[3], batch[3].1.len() * 8)
+            .unwrap(),
+        batch[3].1
+    );
+}
+
+/// A poisoned slot inside an encrypt batch fails alone: stream 3's slot is
+/// a rekey on a stream opened without a key ring. One shard forces every
+/// stream into the same lock and the same sequential pool job as the
+/// poisoned one, yet every healthy stream's blocks are bit-exact with a
+/// control mux that never saw the poison, and the poisoned stream never
+/// advanced.
 #[test]
 fn seal_batch_poison_leaves_shardmates_bit_exact() {
-    use mhhea::gateway::MAX_FRAME_MESSAGE_BYTES;
-    // One shard forces every stream into the same lock and the same
-    // sequential pool job as the poisoned one.
     let victim = StreamMux::with_shards(1);
     let control = StreamMux::with_shards(1);
     for id in 0..6u64 {
@@ -144,25 +217,28 @@ fn seal_batch_poison_leaves_shardmates_bit_exact() {
         .filter(|id| *id != 3)
         .map(|id| (StreamId(id), format!("healthy message {id}").into_bytes()))
         .collect();
-    let mut poisoned = clean.clone();
-    // The rejection fires on the declared length; the buffer is never read.
-    poisoned.insert(3, (StreamId(3), vec![0u8; MAX_FRAME_MESSAGE_BYTES + 1]));
+    let mut poisoned: Vec<(StreamId, StreamOp)> = clean
+        .iter()
+        .map(|(id, msg)| (*id, StreamOp::Encrypt(msg.clone())))
+        .collect();
+    poisoned.insert(3, (StreamId(3), StreamOp::Rekey { epoch: 1 }));
 
-    let control_frames = control.seal_batch(clean.clone());
-    let victim_frames = victim.seal_batch(poisoned);
+    let control_blocks = seal_all(&control, &clean);
+    let victim_out = victim.submit_batch(poisoned);
 
-    assert!(matches!(
-        victim_frames[3],
-        Err(GatewayError::MessageTooLarge { .. })
-    ));
-    // Every healthy stream's wire frame is byte-identical to the control's.
-    let healthy = victim_frames
+    assert_eq!(victim_out[3], Err(GatewayError::NoKeyRing(StreamId(3))));
+    // Every healthy stream's blocks are identical to the control's.
+    let healthy = victim_out
         .into_iter()
         .enumerate()
         .filter(|(i, _)| *i != 3)
-        .map(|(_, f)| f.unwrap());
-    for (got, want) in healthy.zip(control_frames.into_iter().map(Result::unwrap)) {
-        assert_eq!(got, want, "shard-mate diverged from control");
+        .map(|(_, r)| r);
+    for (got, want) in healthy.zip(control_blocks) {
+        assert_eq!(
+            got,
+            Ok(StreamOutput::Blocks(want)),
+            "shard-mate diverged from control"
+        );
     }
     // The poisoned stream never advanced: it still encrypts from block 0.
     assert_eq!(victim.cursor(StreamId(3)).unwrap().block_index, 0);
@@ -170,68 +246,10 @@ fn seal_batch_poison_leaves_shardmates_bit_exact() {
     assert_eq!(after, control.encrypt(StreamId(3), b"recovered").unwrap());
 }
 
-/// The decrypt-side counterpart: a stream fed truncated ciphertext inside
-/// `decrypt_batch` fails alone — shard-mates' plaintexts are bit-exact and
-/// the poisoned stream's cursor is untouched (the full blocks still open).
-#[test]
-fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
-    let (tx, rx) = duplex_pair(0..5, Profile::Streaming);
-    let (_, rx_control) = duplex_pair(0..5, Profile::Streaming);
-
-    let msgs: Vec<Vec<u8>> = (0..5u64)
-        .map(|id| format!("batch message for stream {id}").into_bytes())
-        .collect();
-    let sealed: Vec<Vec<u16>> = tx
-        .encrypt_batch(
-            (0..5u64)
-                .map(|id| (StreamId(id), msgs[id as usize].clone()))
-                .collect(),
-        )
-        .into_iter()
-        .map(Result::unwrap)
-        .collect();
-
-    let make_batch = |truncate: bool| -> Vec<(StreamId, (Vec<u16>, usize))> {
-        (0..5u64)
-            .map(|id| {
-                let mut blocks = sealed[id as usize].clone();
-                if truncate && id == 2 {
-                    blocks.truncate(1);
-                }
-                (StreamId(id), (blocks, msgs[id as usize].len() * 8))
-            })
-            .collect()
-    };
-
-    let control_out = rx_control.decrypt_batch(make_batch(false));
-    let victim_out = rx.decrypt_batch(make_batch(true));
-
-    assert!(matches!(
-        victim_out[2],
-        Err(GatewayError::Engine(
-            mhhea::MhheaError::CiphertextTruncated { .. }
-        ))
-    ));
-    for (i, (got, want)) in victim_out.iter().zip(&control_out).enumerate() {
-        if i != 2 {
-            assert_eq!(got, want, "stream {i} diverged");
-            assert_eq!(got.as_ref().unwrap(), &msgs[i]);
-        }
-    }
-    // The failed decrypt rolled back: the untruncated blocks still open
-    // on the same mux, bit-exactly.
-    assert_eq!(
-        rx.decrypt(StreamId(2), &sealed[2], msgs[2].len() * 8)
-            .unwrap(),
-        msgs[2]
-    );
-}
-
 /// Unknown stream ids inside a mixed `submit_batch` fail their own slots
 /// only, in both directions.
 #[test]
 fn submit_batch_unknown_streams_fail_alone() {
-    use mhhea::gateway::{StreamOp, StreamOutput};
     let (tx, _) = duplex_pair(0..2, Profile::Streaming);
     let results = tx.submit_batch(vec![
         (StreamId(0), StreamOp::Encrypt(b"fine".to_vec())),
@@ -251,9 +269,6 @@ fn submit_batch_unknown_streams_fail_alone() {
     assert!(matches!(results[3], Ok(StreamOutput::Blocks(_))));
 }
 
-/// The acceptance bar: the gateway sustains well over 1,000 concurrent
-/// streams, and every one of them round-trips through a batched
-/// seal/open cycle.
 /// `rekey_with` installs externally derived material (the MHKX path):
 /// the rotated stream matches a fresh session built from the same key
 /// and seed, the stale-epoch guard holds, a zero seed is refused without
@@ -325,6 +340,9 @@ fn rekey_with_installs_derived_material() {
     assert_eq!(mux.rekey(StreamId(1), 2).unwrap(), 2);
 }
 
+/// The acceptance bar: the gateway sustains well over 1,000 concurrent
+/// streams, and every one of them round-trips through a batched
+/// seal/open cycle.
 #[test]
 fn thousand_streams_concurrent_roundtrip() {
     const STREAMS: u64 = 1200;
@@ -333,15 +351,17 @@ fn thousand_streams_concurrent_roundtrip() {
     let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
         .map(|id| (StreamId(id), format!("stream {id} says hello").into_bytes()))
         .collect();
-    let frames = tx.seal_batch(batch);
-    let opened = rx.open_batch(frames.into_iter().map(Result::unwrap).collect());
-    let mut seen = 0u64;
-    for result in opened {
-        let (id, plain) = result.unwrap();
-        assert_eq!(plain, format!("stream {} says hello", id.0).into_bytes());
-        seen += 1;
+    let sealed = seal_all(&tx, &batch);
+    let opens = sealed
+        .into_iter()
+        .zip(&batch)
+        .map(|(blocks, (id, msg))| decrypt_op(*id, blocks, msg))
+        .collect();
+    let opened = rx.submit_batch(opens);
+    assert_eq!(opened.len(), STREAMS as usize);
+    for ((id, msg), result) in batch.into_iter().zip(opened) {
+        assert_eq!(result, Ok(StreamOutput::Plain(msg)), "stream {}", id.0);
     }
-    assert_eq!(seen, STREAMS);
 }
 
 /// A mux shared across OS threads (clone-and-go) stays consistent:

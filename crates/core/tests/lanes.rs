@@ -1,14 +1,13 @@
-//! Differential tests for the bitsliced lane engine: every path through
-//! the lane-filling scheduler must be bit-identical to the scalar
-//! `SpanTable` path it replaces.
+//! Differential tests against the scalar session path.
 //!
-//! The gateway tests run two muxes with identical configurations: one
-//! drives whole batches (so busy shards engage the lane engine), the
-//! other applies the same operations one at a time (pure scalar). The
-//! outputs — and the stream states left behind — must match exactly.
+//! * The standalone bitsliced kernel ([`mhhea::lanes`]) against one
+//!   scalar session per lane.
+//! * A one-shard `StreamMux::submit_batch` mixing encrypts, decrypts and
+//!   rekeys against the same operations applied one at a time: the
+//!   outputs, and the stream states left behind, must match exactly.
 
 use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
-use mhhea::lanes::{seal_lanes, LaneSealJob, LANE_THRESHOLD, MAX_LANES};
+use mhhea::lanes::{seal_lanes, LaneSealJob};
 use mhhea::session::EncryptSession;
 use mhhea::source::LfsrSource;
 use mhhea::{Algorithm, Key, KeyRing, Profile};
@@ -30,82 +29,63 @@ fn message(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// Parses a gateway frame (layout from the gateway module docs).
-fn parse_frame(frame: &[u8]) -> (u64, usize, Vec<u16>) {
-    assert_eq!(&frame[0..4], b"MHGF");
-    let id = u64::from_le_bytes(frame[8..16].try_into().unwrap());
-    let bit_len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;
-    let blocks = frame[24..]
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect();
-    (id, bit_len, blocks)
-}
-
-/// Opens `count` identical-key streams on both muxes, all in one shard so
-/// the batch path sees a laneable group.
-fn open_streams(count: u64, key: &Key, algorithm: Algorithm) -> (StreamMux, StreamMux) {
-    let lane = StreamMux::with_shards(1);
-    let scalar = StreamMux::with_shards(1);
-    for id in 0..count {
-        let cfg = StreamConfig::new(key.clone())
-            .with_algorithm(algorithm)
-            .with_seed(0x1000u16.wrapping_add(id as u16 * 7) | 1);
-        lane.open(StreamId(id), cfg.clone()).unwrap();
-        scalar.open(StreamId(id), cfg).unwrap();
-    }
-    (lane, scalar)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `seal_batch` with enough compatible streams to fill lanes produces
-    /// the exact frames the scalar path produces — across two consecutive
-    /// batches, so the second one lane-packs mid-stream states (nonzero
-    /// block indices, mid-sequence LFSR registers).
+    /// An encrypt-only `submit_batch` over many streams produces exactly
+    /// the blocks the one-at-a-time scalar path produces — across two
+    /// consecutive batches, so the second one runs on mid-stream states
+    /// (nonzero block indices, mid-sequence LFSR registers).
     #[test]
     fn seal_batch_lanes_match_scalar_reference(
         key in arb_key(),
         algorithm in arb_algorithm(),
-        lens in proptest::collection::vec(0usize..=96, LANE_THRESHOLD..=70),
+        lens in proptest::collection::vec(0usize..=96, 1..=70),
         salt in any::<u8>(),
     ) {
-        let (lane, scalar) = open_streams(lens.len() as u64, &key, algorithm);
+        let batched = StreamMux::with_shards(1);
+        let scalar = StreamMux::with_shards(1);
+        for id in 0..lens.len() as u64 {
+            let cfg = StreamConfig::new(key.clone()).with_algorithm(algorithm);
+            batched.open(StreamId(id), cfg.clone()).unwrap();
+            scalar.open(StreamId(id), cfg).unwrap();
+        }
         for round in 0..2u8 {
             let batch: Vec<(StreamId, Vec<u8>)> = lens
                 .iter()
                 .enumerate()
                 .map(|(i, &len)| (StreamId(i as u64), message(len, salt.wrapping_add(round))))
                 .collect();
-            let frames = lane.seal_batch(batch.clone());
-            for ((id, msg), frame) in batch.into_iter().zip(frames) {
-                let frame = frame.unwrap();
-                let (fid, bit_len, blocks) = parse_frame(&frame);
-                prop_assert_eq!(fid, id.0);
-                prop_assert_eq!(bit_len, msg.len() * 8);
+            let ops = batch
+                .iter()
+                .map(|(id, msg)| (*id, StreamOp::Encrypt(msg.clone())))
+                .collect();
+            let outs = batched.submit_batch(ops);
+            for ((id, msg), out) in batch.into_iter().zip(outs) {
                 let want = scalar.encrypt(id, &msg).unwrap();
-                prop_assert_eq!(blocks, want, "stream {} round {}", id.0, round);
+                prop_assert_eq!(out, Ok(StreamOutput::Blocks(want)), "stream {} round {}", id.0, round);
             }
         }
-        // The lane commits left every stream exactly where scalar did.
+        // The batched commits left every stream exactly where scalar did.
         for i in 0..lens.len() as u64 {
             prop_assert_eq!(
-                lane.cursor(StreamId(i)).unwrap().block_index,
+                batched.cursor(StreamId(i)).unwrap().block_index,
                 scalar.cursor(StreamId(i)).unwrap().block_index
             );
         }
     }
 
-    /// A mixed `submit_batch` — lane-packed encrypts, scalar decrypts, and
-    /// mid-batch rekeys on lane-packed streams — matches applying the same
-    /// ops one at a time.
+    /// A mixed `submit_batch` — encrypts, decrypts, and mid-batch rekeys
+    /// on streams that encrypted earlier in the same batch — matches
+    /// applying the same ops one at a time. Two consecutive batches, so
+    /// the second runs on mid-stream states (nonzero block indices,
+    /// mid-sequence LFSR registers).
     #[test]
     fn submit_batch_mixed_ops_match_scalar_reference(
         key in arb_key(),
         algorithm in arb_algorithm(),
-        lens in proptest::collection::vec(1usize..=64, LANE_THRESHOLD..=32),
-        rekey_mask in proptest::collection::vec(any::<bool>(), LANE_THRESHOLD..=32),
+        lens in proptest::collection::vec(0usize..=96, 1..=48),
+        rekey_mask in proptest::collection::vec(any::<bool>(), 1..=48),
         salt in any::<u8>(),
     ) {
         let ring = KeyRing::new(
@@ -114,61 +94,64 @@ proptest! {
         )
         .unwrap();
         let n = lens.len() as u64;
-        let lane = StreamMux::with_shards(1);
+        let batched = StreamMux::with_shards(1);
         let scalar = StreamMux::with_shards(1);
         let feeder = StreamMux::with_shards(1);
         for id in 0..n {
             let cfg = StreamConfig::new(key.clone())
                 .with_algorithm(algorithm)
                 .with_ring(ring.clone());
-            lane.open(StreamId(id), cfg.clone()).unwrap();
+            batched.open(StreamId(id), cfg.clone()).unwrap();
             scalar.open(StreamId(id), cfg.clone()).unwrap();
             // Decrypt-side streams (ids offset by 1000) track a feeder
             // that seals the traffic they will open mid-batch.
-            lane.open(StreamId(1000 + id), cfg.clone()).unwrap();
+            batched.open(StreamId(1000 + id), cfg.clone()).unwrap();
             scalar.open(StreamId(1000 + id), cfg.clone()).unwrap();
             feeder.open(StreamId(1000 + id), cfg).unwrap();
         }
-        let mut batch: Vec<(StreamId, StreamOp)> = Vec::new();
-        for (i, &len) in lens.iter().enumerate() {
-            let id = StreamId(i as u64);
-            batch.push((id, StreamOp::Encrypt(message(len, salt))));
-            if rekey_mask.get(i).copied().unwrap_or(false) {
-                // Mid-batch rotation on a lane-packed stream: the laned
-                // encrypt must commit before this runs.
-                batch.push((id, StreamOp::Rekey { epoch: 1 }));
-                batch.push((id, StreamOp::Encrypt(message(len / 2, salt ^ 0x55))));
+        for round in 0..2u8 {
+            let salt = salt.wrapping_add(round);
+            let mut batch: Vec<(StreamId, StreamOp)> = Vec::new();
+            for (i, &len) in lens.iter().enumerate() {
+                let id = StreamId(i as u64);
+                batch.push((id, StreamOp::Encrypt(message(len, salt))));
+                if rekey_mask.get(i).copied().unwrap_or(false) {
+                    // Mid-batch rotation after this stream's encrypt.
+                    let epoch = u32::from(round) + 1;
+                    batch.push((id, StreamOp::Rekey { epoch }));
+                    batch.push((id, StreamOp::Encrypt(message(len / 2, salt ^ 0x55))));
+                }
+                let plain = message(len, salt.wrapping_add(3));
+                let blocks = feeder.encrypt(StreamId(1000 + i as u64), &plain).unwrap();
+                batch.push((
+                    StreamId(1000 + i as u64),
+                    StreamOp::Decrypt { blocks, bit_len: plain.len() * 8 },
+                ));
             }
-            let plain = message(len, salt.wrapping_add(3));
-            let blocks = feeder.encrypt(StreamId(1000 + i as u64), &plain).unwrap();
-            batch.push((
-                StreamId(1000 + i as u64),
-                StreamOp::Decrypt { blocks, bit_len: plain.len() * 8 },
-            ));
+            let got = batched.submit_batch(batch.clone());
+            let want: Vec<_> = batch
+                .iter()
+                .map(|(id, op)| match op {
+                    StreamOp::Encrypt(msg) => {
+                        scalar.encrypt(*id, msg).map(StreamOutput::Blocks)
+                    }
+                    StreamOp::Decrypt { blocks, bit_len } => {
+                        scalar.decrypt(*id, blocks, *bit_len).map(StreamOutput::Plain)
+                    }
+                    StreamOp::Rekey { epoch } => {
+                        scalar.rekey(*id, *epoch).map(|epoch| StreamOutput::Rekeyed { epoch })
+                    }
+                })
+                .collect();
+            prop_assert_eq!(got, want, "round {}", round);
         }
-        let got = lane.submit_batch(batch.clone());
-        let want: Vec<_> = batch
-            .iter()
-            .map(|(id, op)| match op {
-                StreamOp::Encrypt(msg) => {
-                    scalar.encrypt(*id, msg).map(StreamOutput::Blocks)
-                }
-                StreamOp::Decrypt { blocks, bit_len } => {
-                    scalar.decrypt(*id, blocks, *bit_len).map(StreamOutput::Plain)
-                }
-                StreamOp::Rekey { epoch } => {
-                    scalar.rekey(*id, *epoch).map(|epoch| StreamOutput::Rekeyed { epoch })
-                }
-            })
-            .collect();
-        prop_assert_eq!(got, want);
         for id in 0..n {
             prop_assert_eq!(
-                lane.epoch(StreamId(id)).unwrap(),
+                batched.epoch(StreamId(id)).unwrap(),
                 scalar.epoch(StreamId(id)).unwrap()
             );
             prop_assert_eq!(
-                lane.cursor(StreamId(id)).unwrap().block_index,
+                batched.cursor(StreamId(id)).unwrap().block_index,
                 scalar.cursor(StreamId(id)).unwrap().block_index
             );
         }
@@ -210,34 +193,6 @@ proptest! {
             let want = session.encrypt(msg).unwrap();
             prop_assert_eq!(out.blocks, want);
             prop_assert_eq!(out.block_index, session.cursor().block_index);
-        }
-    }
-}
-
-/// The exact lane-boundary geometries: one short of a full lane word, one
-/// full word, and one over (forcing a second kernel group).
-#[test]
-fn seal_batch_at_lane_word_boundaries() {
-    let key = Key::from_nibbles(&[(0, 3), (2, 5), (1, 7)]).unwrap();
-    for count in [
-        LANE_THRESHOLD as u64,
-        MAX_LANES as u64 - 1,
-        MAX_LANES as u64,
-        MAX_LANES as u64 + 1,
-    ] {
-        let (lane, scalar) = open_streams(count, &key, Algorithm::Mhhea);
-        let batch: Vec<(StreamId, Vec<u8>)> = (0..count)
-            .map(|id| (StreamId(id), message(17 + (id as usize % 5), id as u8)))
-            .collect();
-        let frames = lane.seal_batch(batch.clone());
-        for ((id, msg), frame) in batch.into_iter().zip(frames) {
-            let (_, _, blocks) = parse_frame(&frame.unwrap());
-            assert_eq!(
-                blocks,
-                scalar.encrypt(id, &msg).unwrap(),
-                "stream {} of {count}",
-                id.0
-            );
         }
     }
 }

@@ -1,10 +1,10 @@
 //! The multi-stream gateway end to end: a fleet of concurrent streams,
-//! batched sealing into wire frames, and a mid-conversation evict/restore
-//! cycle that resumes a stream bit-exactly.
+//! one batched seal and open per traffic tick, and a mid-conversation
+//! evict/restore cycle that resumes a stream bit-exactly.
 //!
 //! Run with `cargo run --release --example gateway`.
 
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
 use mhhea::{Key, Profile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,25 +30,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A traffic tick: every stream sends one message; the whole batch is
     // one submission to the shared worker pool.
-    let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
-        .map(|id| {
-            (
-                StreamId(id),
-                format!("tick 0 payload for stream {id}").into_bytes(),
-            )
-        })
+    let messages: Vec<Vec<u8>> = (0..STREAMS)
+        .map(|id| format!("tick 0 payload for stream {id}").into_bytes())
+        .collect();
+    let batch = (0..STREAMS)
+        .zip(&messages)
+        .map(|(id, msg)| (StreamId(id), StreamOp::Encrypt(msg.clone())))
         .collect();
     let start = std::time::Instant::now();
-    let frames: Vec<Vec<u8>> = tx.seal_batch(batch).into_iter().collect::<Result<_, _>>()?;
+    let sealed = tx.submit_batch(batch);
     let sealed_in = start.elapsed();
-    let wire_bytes: usize = frames.iter().map(Vec::len).sum();
 
+    // The peer opens the whole tick in one batch too.
+    let mut opens = Vec::with_capacity(sealed.len());
+    let mut cipher_bytes = 0;
+    for ((id, msg), result) in (0..STREAMS).zip(&messages).zip(sealed) {
+        let StreamOutput::Blocks(blocks) = result? else {
+            return Err("an encrypt produced no blocks".into());
+        };
+        cipher_bytes += blocks.len() * 2;
+        let bit_len = msg.len() * 8;
+        opens.push((StreamId(id), StreamOp::Decrypt { blocks, bit_len }));
+    }
     let start = std::time::Instant::now();
-    let opened = rx.open_batch(frames);
+    let opened = rx.submit_batch(opens);
     let opened_in = start.elapsed();
-    let ok = opened.iter().filter(|r| r.is_ok()).count();
+    let ok = opened
+        .into_iter()
+        .zip(&messages)
+        .filter(|(r, msg)| r.as_ref() == Ok(&StreamOutput::Plain(msg.to_vec())))
+        .count();
     println!(
-        "tick: sealed {STREAMS} frames ({wire_bytes} wire bytes) in {sealed_in:?}, \
+        "tick: sealed {STREAMS} messages ({cipher_bytes} cipher bytes) in {sealed_in:?}, \
          opened {ok}/{STREAMS} in {opened_in:?}"
     );
 
