@@ -4,9 +4,9 @@
 //! The baseline treats every message as an independent one-shot container
 //! (fresh session, fresh span table, fresh header per call) — what a
 //! server without a stream table has to do. The gateway keeps one session
-//! per stream alive in the sharded mux and coalesces the whole batch into
-//! one submission to the shared worker pool, so the per-message cost
-//! collapses to the cipher itself.
+//! per stream alive in the sharded mux and runs the whole batch in one
+//! `submit_batch` call, so the per-message cost collapses to the cipher
+//! itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mhhea::container::{seal_v2, SealV2Options};

@@ -52,7 +52,7 @@
 //! Every chunk but the last carries a whole number of bytes, so opened
 //! chunks concatenate without bit shifting.
 
-use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
+use crate::pipeline::{chunk_ranges, chunk_seed, WorkerPool, DEFAULT_CHUNK_BYTES};
 use crate::session::{DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Decryptor, Encryptor, Key, MhheaError, Profile};
@@ -280,7 +280,7 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
     let shared_key = std::sync::Arc::new(key.clone());
     let (algorithm, profile, master_seed) = (opts.algorithm, opts.profile, opts.master_seed);
     let sealed: Vec<Result<Vec<u16>, MhheaError>> =
-        parallel_map(jobs, opts.workers, move |_, (index, chunk)| {
+        WorkerPool::global().map(jobs, opts.workers, move |_, (index, chunk)| {
             let seed = chunk_seed(master_seed, index);
             let source = LfsrSource::new(seed).expect("derived seeds are nonzero");
             let mut session =
@@ -537,7 +537,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
         header.profile,
     ));
     let opened: Vec<Result<Vec<u8>, MhheaError>> =
-        parallel_map(frames, workers, move |_, (_index, bit_len, body)| {
+        WorkerPool::global().map(frames, workers, move |_, (_index, bit_len, body)| {
             let blocks: Vec<u16> = body
                 .chunks_exact(2)
                 .map(|c| u16::from_le_bytes([c[0], c[1]]))

@@ -1,20 +1,20 @@
 //! A sharded multi-stream gateway: thousands of concurrent cipher streams
-//! over one shared worker pool.
+//! in one table.
 //!
 //! The paper's MHHEA core sits on a live data-communication link; a
 //! deployment serves *many* such links at once. [`StreamMux`] is that
 //! layer in software: it owns one [`EncryptSession`]/[`DecryptSession`]
-//! pair per [`StreamId`], keeps them in a sharded session table (one lock
-//! per shard, so independent streams never contend), and coalesces batches
-//! of small messages from many streams into single submissions to the
-//! shared [`WorkerPool`].
+//! pair per [`StreamId`] and keeps them in a sharded session table (one
+//! lock per shard, so independent streams rarely contend). Parallelism
+//! comes from the callers: every method takes `&self`, so several threads
+//! (the transport's reactors) drive one mux at once.
 //!
 //! Two layers of API:
 //!
 //! * [`StreamMux::encrypt`]/[`StreamMux::decrypt`] — one message on one
 //!   stream, raw 16-bit blocks.
 //! * [`StreamMux::submit_batch`] — many encrypts, decrypts and rekeys
-//!   across many streams, one pool submission per busy shard.
+//!   across many streams, run in batch order on the calling thread.
 //!
 //! Streams are evictable: [`StreamMux::evict`] serialises a stream's
 //! entire resume state (key, cursors, LFSR state) into a snapshot byte
@@ -79,10 +79,10 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
-use crate::pipeline::{chunk_seed, WorkerPool};
+use crate::pipeline::chunk_seed;
 use crate::session::{CursorDecodeError, DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, MhheaError, Profile};
@@ -281,13 +281,6 @@ pub enum GatewayError {
         /// The rejected epoch.
         requested: u32,
     },
-    /// A batch slot was never filled by the scatter pass. This is an
-    /// internal invariant violation that should be unreachable; it is
-    /// reported as an error instead of panicking on the serving path.
-    MissingResult {
-        /// The batch position whose result went missing.
-        position: usize,
-    },
 }
 
 impl core::fmt::Display for GatewayError {
@@ -306,10 +299,6 @@ impl core::fmt::Display for GatewayError {
             GatewayError::StaleEpoch { current, requested } => write!(
                 f,
                 "rekey to epoch {requested} rejected: stream is already at epoch {current}"
-            ),
-            GatewayError::MissingResult { position } => write!(
-                f,
-                "internal error: batch position {position} produced no result"
             ),
         }
     }
@@ -341,9 +330,8 @@ impl From<SnapshotDecodeError> for GatewayError {
 /// the duplex stream to drive, and with what.
 ///
 /// A transport serving live connections sees encrypts and decrypts
-/// interleaved in one tick; `submit_batch` coalesces the whole mixed tick
-/// into a single pool submission without reordering operations on
-/// streams doing both.
+/// interleaved in one tick; `submit_batch` runs the whole mixed tick in
+/// one call without reordering operations on streams doing both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamOp {
     /// Encrypt the plaintext bytes on the stream's encrypt session.
@@ -356,11 +344,11 @@ pub enum StreamOp {
         bit_len: usize,
     },
     /// Rotate the stream (both directions, atomically) to a new
-    /// [`KeyRing`] epoch. Because rekeys ride the same per-shard
-    /// sequential jobs as encrypts and decrypts, a batch mixing all three
-    /// applies them to each stream *in batch order* — operations before
-    /// the rekey run under the old epoch, operations after it under the
-    /// new one — and a failed rekey is confined to its own slot.
+    /// [`KeyRing`] epoch. A batch runs strictly in order, so a batch
+    /// mixing rekeys with encrypts and decrypts applies them to each
+    /// stream *in batch order* — operations before the rekey run under
+    /// the old epoch, operations after it under the new one — and a
+    /// failed rekey is confined to its own slot.
     Rekey {
         /// The epoch to rotate to (must be strictly newer).
         epoch: u32,
@@ -464,18 +452,42 @@ fn lock_shard(shard: &Shard) -> MutexGuard<'_, HashMap<u64, StreamState>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One shard's share of a batch: original position, stream, operation.
-type ShardItems = Vec<(usize, StreamId, StreamOp)>;
-
+/// A sharded table of concurrent cipher streams.
+///
+/// See the [module docs](crate::gateway) for the API tour and the
+/// snapshot format. Every method takes `&self`, so one gateway can be
+/// driven from many threads at once (borrowed, or shared in an `Arc`).
 #[derive(Debug)]
-struct MuxInner {
+pub struct StreamMux {
     // lock-order: mux_shard
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; the count is a power of two.
     mask: u64,
 }
 
-impl MuxInner {
+impl Default for StreamMux {
+    fn default() -> Self {
+        StreamMux::new()
+    }
+}
+
+impl StreamMux {
+    /// A mux with [`DEFAULT_SHARDS`] shards.
+    pub fn new() -> Self {
+        StreamMux::with_shards(DEFAULT_SHARDS)
+    }
+
+    /// A mux with at least `shards` shards (rounded up to a power of two,
+    /// minimum 1).
+    pub fn with_shards(shards: usize) -> Self {
+        let count = shards.max(1).next_power_of_two();
+        let shards: Box<[Shard]> = (0..count).map(|_| Mutex::new(HashMap::new())).collect();
+        StreamMux {
+            shards,
+            mask: (count - 1) as u64,
+        }
+    }
+
     /// SplitMix64 avalanche so sequential ids spread across shards.
     fn shard_of(&self, id: StreamId) -> usize {
         let mut z = id.0 ^ 0x9E37_79B9_7F4A_7C15;
@@ -489,6 +501,7 @@ impl MuxInner {
         &self.shards[self.shard_of(id)] // lint: allow(panic-path, reason = "shard_of masks the index below shards.len(), a power of two")
     }
 
+    /// Runs `f` on `id`'s state under its shard lock.
     fn with_stream<R>(
         &self,
         id: StreamId,
@@ -500,52 +513,15 @@ impl MuxInner {
             .ok_or(GatewayError::UnknownStream(id))?;
         f(state)
     }
-}
-
-/// A sharded table of concurrent cipher streams sharing one worker pool.
-///
-/// See the [module docs](crate::gateway) for the API tour and the
-/// snapshot format. Cloning a `StreamMux` is cheap and shares the table,
-/// so one gateway can be driven from many threads.
-#[derive(Debug, Clone)]
-pub struct StreamMux {
-    inner: Arc<MuxInner>,
-}
-
-impl Default for StreamMux {
-    fn default() -> Self {
-        StreamMux::new()
-    }
-}
-
-impl StreamMux {
-    /// A mux with [`DEFAULT_SHARDS`] shards and OS-sized batch
-    /// parallelism.
-    pub fn new() -> Self {
-        StreamMux::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A mux with at least `shards` shards (rounded up to a power of two,
-    /// minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        let shards: Box<[Shard]> = (0..count).map(|_| Mutex::new(HashMap::new())).collect();
-        StreamMux {
-            inner: Arc::new(MuxInner {
-                shards,
-                mask: (count - 1) as u64,
-            }),
-        }
-    }
 
     /// Number of shards in the session table.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
+        self.shards.len()
     }
 
     /// Number of open streams (locks each shard briefly).
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| lock_shard(s).len()).sum()
+        self.shards.iter().map(|s| lock_shard(s).len()).sum()
     }
 
     /// True when no streams are open.
@@ -555,7 +531,7 @@ impl StreamMux {
 
     /// True when `id` is an open stream.
     pub fn contains(&self, id: StreamId) -> bool {
-        lock_shard(self.inner.shard(id)).contains_key(&id.0)
+        lock_shard(self.shard(id)).contains_key(&id.0)
     }
 
     /// Opens a fresh stream at the cipher-stream origin.
@@ -577,7 +553,7 @@ impl StreamMux {
     }
 
     fn insert(&self, id: StreamId, state: StreamState) -> Result<(), GatewayError> {
-        let mut shard = lock_shard(self.inner.shard(id));
+        let mut shard = lock_shard(self.shard(id));
         if shard.contains_key(&id.0) {
             return Err(GatewayError::StreamExists(id));
         }
@@ -591,7 +567,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`] if `id` is not open.
     pub fn close(&self, id: StreamId) -> Result<(), GatewayError> {
-        lock_shard(self.inner.shard(id))
+        lock_shard(self.shard(id))
             .remove(&id.0)
             .map(|_| ())
             .ok_or(GatewayError::UnknownStream(id))
@@ -604,7 +580,7 @@ impl StreamMux {
     /// [`GatewayError::UnknownStream`]; engine failures as
     /// [`GatewayError::Engine`].
     pub fn encrypt(&self, id: StreamId, message: &[u8]) -> Result<Vec<u16>, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.enc.encrypt(message)?))
+        self.with_stream(id, |s| Ok(s.enc.encrypt(message)?))
     }
 
     /// Decrypts one message's blocks on one stream, advancing its cursor.
@@ -620,8 +596,7 @@ impl StreamMux {
         blocks: &[u16],
         bit_len: usize,
     ) -> Result<Vec<u8>, GatewayError> {
-        self.inner
-            .with_stream(id, |s| Ok(s.dec.decrypt(blocks, bit_len)?))
+        self.with_stream(id, |s| Ok(s.dec.decrypt(blocks, bit_len)?))
     }
 
     /// The stream's current encrypt-side cursor (for monitoring).
@@ -630,7 +605,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn cursor(&self, id: StreamId) -> Result<StreamCursor, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.enc.cursor()))
+        self.with_stream(id, |s| Ok(s.enc.cursor()))
     }
 
     /// The stream's current key epoch (0 until the first rekey).
@@ -639,7 +614,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn epoch(&self, id: StreamId) -> Result<u32, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.enc.epoch()))
+        self.with_stream(id, |s| Ok(s.enc.epoch()))
     }
 
     /// Rotates one stream (both directions, atomically) to a new
@@ -655,7 +630,7 @@ impl StreamMux {
     /// unless `epoch` is strictly newer than the stream's current epoch.
     /// On every error the stream is untouched and fully usable.
     pub fn rekey(&self, id: StreamId, epoch: u32) -> Result<u32, GatewayError> {
-        self.inner.with_stream(id, |s| s.rekey(id, epoch))
+        self.with_stream(id, |s| s.rekey(id, epoch))
     }
 
     /// Rotates one stream (both directions, atomically) to `epoch` using
@@ -679,8 +654,7 @@ impl StreamMux {
         key: Key,
         seed: u16,
     ) -> Result<u32, GatewayError> {
-        self.inner
-            .with_stream(id, |s| s.rekey_with(key, seed, epoch))
+        self.with_stream(id, |s| s.rekey_with(key, seed, epoch))
     }
 
     /// Seals one **chunk-addressed** message on a stream: a one-shot
@@ -712,7 +686,7 @@ impl StreamMux {
         chunk_index: u32,
         message: &[u8],
     ) -> Result<Vec<u16>, GatewayError> {
-        self.inner.with_stream(id, |s| {
+        self.with_stream(id, |s| {
             let ring = s.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
             if epoch != s.enc.epoch() {
                 return Err(s.stale(epoch));
@@ -748,7 +722,7 @@ impl StreamMux {
         blocks: &[u16],
         bit_len: usize,
     ) -> Result<Vec<u8>, GatewayError> {
-        self.inner.with_stream(id, |s| {
+        self.with_stream(id, |s| {
             if epoch != s.enc.epoch() {
                 return Err(s.stale(epoch));
             }
@@ -757,13 +731,14 @@ impl StreamMux {
         })
     }
 
-    /// Runs a mixed batch of encrypts, decrypts and key rotations in one
-    /// coalesced pool submission. `results[i]` corresponds to `batch[i]`;
-    /// a failing stream fails only its own slots — shard-mates in the
-    /// same batch are untouched. Operations on the same stream (in any
-    /// direction, including [`StreamOp::Rekey`]) keep their batch order,
-    /// so work before a rekey runs under the old epoch and work after it
-    /// under the new one.
+    /// Runs a mixed batch of encrypts, decrypts and key rotations on the
+    /// calling thread, in batch order, each operation under its stream's
+    /// shard lock. `results[i]` corresponds to `batch[i]`; a failing
+    /// stream fails only its own slots — shard-mates in the same batch
+    /// are untouched. Operations on the same stream (in any direction,
+    /// including [`StreamOp::Rekey`]) keep their batch order, so work
+    /// before a rekey runs under the old epoch and work after it under
+    /// the new one.
     ///
     /// ```
     /// use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
@@ -788,51 +763,10 @@ impl StreamMux {
         &self,
         batch: Vec<(StreamId, StreamOp)>,
     ) -> Vec<Result<StreamOutput, GatewayError>> {
-        let inner = Arc::clone(&self.inner);
-        let mut groups: HashMap<usize, ShardItems> = HashMap::new();
-        for (pos, (id, op)) in batch.into_iter().enumerate() {
-            groups
-                .entry(inner.shard_of(id))
-                .or_default()
-                .push((pos, id, op));
-        }
-        let total: usize = groups.values().map(Vec::len).sum();
-        let groups: Vec<(usize, ShardItems)> = groups.into_iter().collect();
-        let scattered: Vec<Vec<(usize, Result<StreamOutput, GatewayError>)>> = WorkerPool::global()
-            .map(groups, 0, move |_, (shard_idx, items)| {
-                let Some(shard) = inner.shards.get(shard_idx) else {
-                    // Unreachable: shard_of masks into range. Stay total.
-                    return items
-                        .into_iter()
-                        .map(|(pos, id, _)| (pos, Err(GatewayError::UnknownStream(id))))
-                        .collect();
-                };
-                // One lock acquisition covers the shard's whole share of
-                // the batch — the coalescing this API exists for. Items run
-                // in batch order, so a stream's operations keep theirs.
-                let mut shard = lock_shard(shard);
-                items
-                    .into_iter()
-                    .map(|(pos, id, op)| {
-                        let r = match shard.get_mut(&id.0) {
-                            Some(state) => state.apply(id, op),
-                            None => Err(GatewayError::UnknownStream(id)),
-                        };
-                        (pos, r)
-                    })
-                    .collect()
-            });
-        // Pre-fill with the (unreachable) internal error so the scatter
-        // stays total: every reported position overwrites its slot.
-        let mut out: Vec<Result<StreamOutput, GatewayError>> = (0..total)
-            .map(|position| Err(GatewayError::MissingResult { position }))
-            .collect();
-        for (pos, r) in scattered.into_iter().flatten() {
-            if let Some(slot) = out.get_mut(pos) {
-                *slot = r;
-            }
-        }
-        out
+        batch
+            .into_iter()
+            .map(|(id, op)| self.with_stream(id, |s| s.apply(id, op)))
+            .collect()
     }
 
     /// Serialises a stream's full resume state **without** removing it
@@ -845,8 +779,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn snapshot(&self, id: StreamId) -> Result<Vec<u8>, GatewayError> {
-        self.inner
-            .with_stream(id, |state| Ok(encode_snapshot(id, state)))
+        self.with_stream(id, |state| Ok(encode_snapshot(id, state)))
     }
 
     /// Removes a stream and serialises its full resume state (format in
@@ -861,7 +794,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn evict(&self, id: StreamId) -> Result<Vec<u8>, GatewayError> {
-        let mut shard = lock_shard(self.inner.shard(id));
+        let mut shard = lock_shard(self.shard(id));
         let state = shard.get(&id.0).ok_or(GatewayError::UnknownStream(id))?;
         let snapshot = encode_snapshot(id, state);
         shard.remove(&id.0);
@@ -887,7 +820,7 @@ impl StreamMux {
         id: StreamId,
         sink: &mut impl std::io::Write,
     ) -> Result<(), GatewayError> {
-        let mut shard = lock_shard(self.inner.shard(id));
+        let mut shard = lock_shard(self.shard(id));
         let state = shard.get(&id.0).ok_or(GatewayError::UnknownStream(id))?;
         let snapshot = encode_snapshot(id, state);
         sink.write_all(&snapshot)
@@ -1509,7 +1442,6 @@ mod tests {
         mux.rekey(StreamId(3), 2).unwrap();
         mux.encrypt(StreamId(3), b"post-rotation").unwrap();
 
-        let control = mux.clone();
         let snap = mux.evict(StreamId(3)).unwrap();
         assert_eq!(snap[4], SNAPSHOT_VERSION);
         let restored = StreamMux::with_shards(16);
@@ -1519,10 +1451,11 @@ mod tests {
         assert_eq!(restored.snapshot(StreamId(3)).unwrap(), snap);
         // ...and the ring survived: the stream still rotates.
         restored.rekey(StreamId(3), 3).unwrap();
-        control.restore(&snap).unwrap();
-        control.rekey(StreamId(3), 3).unwrap();
+        // The same snapshot restored into the mux it was evicted from.
+        mux.restore(&snap).unwrap();
+        mux.rekey(StreamId(3), 3).unwrap();
         let a = restored.encrypt(StreamId(3), b"epoch three").unwrap();
-        let b = control.encrypt(StreamId(3), b"epoch three").unwrap();
+        let b = mux.encrypt(StreamId(3), b"epoch three").unwrap();
         assert_eq!(a, b, "post-restore rotation diverged");
     }
 

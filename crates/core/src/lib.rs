@@ -38,7 +38,8 @@
 //!   calls it (the sessions' span-table path is the one cipher path); the
 //!   benchmark's layer ladder still measures it.
 //! * [`pipeline`] — chunk planning, per-chunk seed derivation and the
-//!   persistent [`pipeline::WorkerPool`] every parallel path submits to.
+//!   persistent [`pipeline::WorkerPool`] that container v2 fans its
+//!   chunks out on.
 //! * [`container`] — a self-describing byte format so decryption knows the
 //!   message length, profile and key fingerprint; v2 frames the payload
 //!   into independently-seeded chunks that seal and open in parallel.

@@ -1,19 +1,20 @@
-//! Chunk planning and the persistent worker pool behind all parallel paths.
+//! Chunk planning and the persistent worker pool container v2 runs on.
 //!
 //! Large payloads are split into fixed-size chunks, each encrypted by an
 //! independent [`crate::session::EncryptSession`] whose LFSR seed is
 //! derived from a master seed and the chunk number. Chunks share no state,
 //! so they seal and open in parallel — the same batching-for-bandwidth
 //! move FPGA cipher pipelines make. The container v2 format
-//! ([`crate::container::seal_v2`]) is the on-wire form of this plan, and
-//! the multi-stream gateway ([`crate::gateway`]) runs its batches over the
-//! same substrate.
+//! ([`crate::container::seal_v2`]) is the on-wire form of this plan. The
+//! multi-stream gateway ([`crate::gateway`]) does not use the pool: a
+//! batch runs on its caller, and the transport's reactor threads supply
+//! the serving path's parallelism.
 //!
 //! Threads are **not** spawned per call. A [`WorkerPool`] spawns its
 //! workers once, accepts jobs over a channel, and shuts down gracefully on
 //! drop; [`WorkerPool::global`] is the process-wide instance the container
-//! layer and the gateway share. [`parallel_map`] is the order-preserving
-//! fan-out primitive built on top of it.
+//! layer maps its chunks over with [`WorkerPool::map`], the
+//! order-preserving fan-out primitive.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -119,9 +120,8 @@ std::thread_local! {
 /// Workers are spawned exactly once, at construction, and live until the
 /// pool is dropped (or [`WorkerPool::shutdown`] is called): submitting a
 /// batch costs channel sends, not thread spawns. The container layer
-/// ([`crate::container::seal_v2`]/[`crate::container::open_v2`]) and the
-/// stream gateway ([`crate::gateway::StreamMux`]) both run on the shared
-/// [`WorkerPool::global`] instance.
+/// ([`crate::container::seal_v2`]/[`crate::container::open_v2`]) runs on
+/// the shared [`WorkerPool::global`] instance.
 ///
 /// A job that panics does not kill its worker: the panic is caught, the
 /// worker keeps draining the queue, and map-style entry points re-raise
@@ -345,26 +345,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Maps `f` over `items` on the shared [`WorkerPool::global`] pool with at
-/// most `workers` jobs in flight (`0` asks the OS), preserving order.
-///
-/// `f` receives `(index, item)`. Order is preserved: output index matches
-/// input index. Both closures and items must be `'static` — the pool's
-/// workers outlive any one call, so jobs own their data (clone or `Arc`
-/// what you need inside).
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
-where
-    T: Send + 'static,
-    U: Send + 'static,
-    F: Fn(usize, T) -> U + Send + Sync + 'static,
-{
-    WorkerPool::global().map(items, workers, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,10 +407,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
+    fn pool_map_preserves_order() {
         let items: Vec<u32> = (0..97).collect();
         for workers in [1usize, 2, 4, 7] {
-            let got = parallel_map(items.clone(), workers, |i, x| {
+            let got = WorkerPool::global().map(items.clone(), workers, |i, x| {
                 assert_eq!(i as u32, x);
                 x * 3
             });
@@ -440,12 +420,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_empty_and_single() {
+    fn pool_map_empty_and_single() {
         assert_eq!(
-            parallel_map(Vec::<u8>::new(), 4, |_, x| x),
+            WorkerPool::global().map(Vec::<u8>::new(), 4, |_, x| x),
             Vec::<u8>::new()
         );
-        assert_eq!(parallel_map(vec![9u8], 4, |_, x| x + 1), vec![10]);
+        assert_eq!(
+            WorkerPool::global().map(vec![9u8], 4, |_, x| x + 1),
+            vec![10]
+        );
     }
 
     #[test]
@@ -482,7 +465,8 @@ mod tests {
         // A job that itself fans out must not block on its own pool.
         let pool = Arc::new(WorkerPool::new(2));
         let outer = pool.map((0..4u32).collect(), 2, |_, x| {
-            let inner: Vec<u32> = parallel_map((0..8u32).collect(), 4, move |_, y| y + x);
+            let inner: Vec<u32> =
+                WorkerPool::global().map((0..8u32).collect(), 4, move |_, y| y + x);
             inner.iter().sum::<u32>()
         });
         assert_eq!(outer, vec![28, 36, 44, 52]);

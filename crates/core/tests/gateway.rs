@@ -2,7 +2,7 @@
 //! many streams and the evict/restore snapshot cycle.
 
 use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
-use mhhea::{Algorithm, Key, MhheaError, Profile};
+use mhhea::{Algorithm, Key, KeyRing, MhheaError, Profile};
 use proptest::prelude::*;
 
 fn key() -> Key {
@@ -137,8 +137,8 @@ fn seal_open_batch_with_errors_interleaved() {
 }
 
 /// A stream fed truncated ciphertext inside a `submit_batch` fails alone:
-/// one shard forces every stream into the same lock and the same
-/// sequential pool job as the poisoned one, yet shard-mates' plaintexts
+/// one shard forces every stream into the same lock as the poisoned one,
+/// yet shard-mates' plaintexts
 /// are bit-exact with a control mux that never saw the poison, and the
 /// poisoned stream's cursor is untouched (the full blocks still open).
 #[test]
@@ -199,8 +199,8 @@ fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
 
 /// A poisoned slot inside an encrypt batch fails alone: stream 3's slot is
 /// a rekey on a stream opened without a key ring. One shard forces every
-/// stream into the same lock and the same sequential pool job as the
-/// poisoned one, yet every healthy stream's blocks are bit-exact with a
+/// stream into the same lock as the poisoned one, yet every healthy
+/// stream's blocks are bit-exact with a
 /// control mux that never saw the poison, and the poisoned stream never
 /// advanced.
 #[test]
@@ -364,31 +364,167 @@ fn thousand_streams_concurrent_roundtrip() {
     }
 }
 
-/// A mux shared across OS threads (clone-and-go) stays consistent:
-/// distinct streams progress independently under concurrent submitters.
+/// A mux shared across OS threads (borrowed by scoped threads) stays
+/// consistent: distinct streams progress independently under concurrent
+/// submitters.
 #[test]
 fn mux_is_shareable_across_threads() {
     let (tx, rx) = duplex_pair(0..8, Profile::Streaming);
-    let handles: Vec<_> = (0..8u64)
-        .map(|id| {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                (0..5)
-                    .map(|round| {
-                        let msg = format!("t{id} r{round}");
-                        (tx.encrypt(StreamId(id), msg.as_bytes()).unwrap(), msg)
-                    })
-                    .collect::<Vec<_>>()
+    let sealed: Vec<Vec<(Vec<u16>, String)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8u64)
+            .map(|id| {
+                let tx = &tx;
+                scope.spawn(move || {
+                    (0..5)
+                        .map(|round| {
+                            let msg = format!("t{id} r{round}");
+                            (tx.encrypt(StreamId(id), msg.as_bytes()).unwrap(), msg)
+                        })
+                        .collect()
+                })
             })
-        })
-        .collect();
-    for (id, handle) in handles.into_iter().enumerate() {
-        for (blocks, msg) in handle.join().unwrap() {
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (id, messages) in sealed.into_iter().enumerate() {
+        for (blocks, msg) in messages {
             let got = rx
                 .decrypt(StreamId(id as u64), &blocks, msg.len() * 8)
                 .unwrap();
             assert_eq!(got, msg.as_bytes());
         }
+    }
+}
+
+/// Runs one op through the single-op API: the one-at-a-time oracle for
+/// `submit_batch`.
+fn apply_single(
+    mux: &StreamMux,
+    id: StreamId,
+    op: &StreamOp,
+) -> Result<StreamOutput, GatewayError> {
+    match op {
+        StreamOp::Encrypt(msg) => mux.encrypt(id, msg).map(StreamOutput::Blocks),
+        StreamOp::Decrypt { blocks, bit_len } => {
+            mux.decrypt(id, blocks, *bit_len).map(StreamOutput::Plain)
+        }
+        StreamOp::Rekey { epoch } => mux
+            .rekey(id, *epoch)
+            .map(|epoch| StreamOutput::Rekeyed { epoch }),
+    }
+}
+
+/// Two threads released by one barrier call `submit_batch` at the same
+/// time on a one-shard mux, so every op of both batches contends for the
+/// same lock — what N reactors' ticks do. Each thread drives its own
+/// streams with mixed encrypts, decrypts and rekeys. Every output, and
+/// every stream's final state, matches an oracle mux fed the same ops
+/// one at a time.
+#[test]
+fn concurrent_batches_match_one_at_a_time_oracle() {
+    const THREADS: u64 = 2;
+    const STREAMS_PER_THREAD: u64 = 4;
+    const ROUNDS: u64 = 16;
+    let ring = KeyRing::new(
+        vec![key(), Key::from_nibbles(&[(1, 6), (0, 7)]).unwrap()],
+        0xACE1,
+    )
+    .unwrap();
+    let mux = StreamMux::with_shards(1);
+    let oracle = StreamMux::with_shards(1);
+    // The peer whose encrypt side the mux's decrypt side tracks; it
+    // rotates at the same points, so every decrypt is meaningful.
+    let peer = StreamMux::with_shards(1);
+    for id in 0..THREADS * STREAMS_PER_THREAD {
+        let cfg = StreamConfig::new(key())
+            .with_ring(ring.clone())
+            .with_seed(0x2000 + id as u16);
+        for m in [&mux, &oracle, &peer] {
+            m.open(StreamId(id), cfg.clone()).unwrap();
+        }
+    }
+
+    // Per thread, ROUNDS batches. A round gives each of the thread's
+    // streams an encrypt and a decrypt, preceded now and then by a
+    // rekey; streams' ops interleave within the batch.
+    let inbound =
+        |id: u64, round: u64| format!("s{id} r{round} inbound {}", "x".repeat(id as usize));
+    let batches: Vec<Vec<Vec<(StreamId, StreamOp)>>> = (0..THREADS)
+        .map(|t| {
+            let ids = t * STREAMS_PER_THREAD..(t + 1) * STREAMS_PER_THREAD;
+            (0..ROUNDS)
+                .map(|round| {
+                    let per_stream: Vec<(StreamId, Vec<StreamOp>)> = ids
+                        .clone()
+                        .map(|id| {
+                            let sid = StreamId(id);
+                            let mut ops = Vec::new();
+                            if (round + id) % 5 == 4 {
+                                let epoch = peer.epoch(sid).unwrap() + 1;
+                                peer.rekey(sid, epoch).unwrap();
+                                ops.push(StreamOp::Rekey { epoch });
+                            }
+                            ops.push(StreamOp::Encrypt(
+                                format!("s{id} r{round} out").into_bytes(),
+                            ));
+                            let msg = inbound(id, round);
+                            let blocks = peer.encrypt(sid, msg.as_bytes()).unwrap();
+                            let bit_len = msg.len() * 8;
+                            ops.push(StreamOp::Decrypt { blocks, bit_len });
+                            (sid, ops)
+                        })
+                        .collect();
+                    (0..3)
+                        .flat_map(|slot| {
+                            per_stream
+                                .iter()
+                                .filter_map(move |(sid, ops)| Some((*sid, ops.get(slot)?.clone())))
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+
+    let barrier = std::sync::Barrier::new(THREADS as usize);
+    let results: Vec<Vec<Vec<Result<StreamOutput, GatewayError>>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = batches
+            .iter()
+            .map(|thread_batches| {
+                let (mux, barrier) = (&mux, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    thread_batches
+                        .iter()
+                        .map(|batch| mux.submit_batch(batch.clone()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (t, thread_batches) in batches.iter().enumerate() {
+        for (round, batch) in thread_batches.iter().enumerate() {
+            let got = &results[t][round];
+            assert_eq!(got.len(), batch.len());
+            for (i, (id, op)) in batch.iter().enumerate() {
+                let want = apply_single(&oracle, *id, op);
+                assert!(want.is_ok(), "thread {t} round {round} slot {i}: {want:?}");
+                assert_eq!(got[i], want, "thread {t} round {round} slot {i}");
+                if let StreamOp::Decrypt { .. } = op {
+                    let plain = inbound(id.0, round as u64).into_bytes();
+                    assert_eq!(got[i], Ok(StreamOutput::Plain(plain)));
+                }
+            }
+        }
+    }
+    for id in 0..THREADS * STREAMS_PER_THREAD {
+        assert_eq!(
+            mux.snapshot(StreamId(id)).unwrap(),
+            oracle.snapshot(StreamId(id)).unwrap(),
+            "stream {id} final state"
+        );
     }
 }
 

@@ -93,8 +93,10 @@ pub(crate) struct DataTicket {
 }
 
 pub(crate) enum TicketOutcome {
-    /// `batch[index]`, with how the result must be framed back.
-    Submitted { index: usize, shape: ReplyShape },
+    /// The next unclaimed slot of this tick's batch (tickets and batch
+    /// entries are pushed in the same order), with how the result must be
+    /// framed back.
+    Submitted { shape: ReplyShape },
     /// Rejected before touching any cipher state.
     Rejected { code: ErrorCode, detail: String },
 }
@@ -329,10 +331,7 @@ impl<S: Read + Write> Conn<S> {
                             conn: idx,
                             stream,
                             seq,
-                            outcome: TicketOutcome::Submitted {
-                                index: sink.batch.len(),
-                                shape,
-                            },
+                            outcome: TicketOutcome::Submitted { shape },
                         });
                         sink.batch.push((StreamId(stream), op));
                     }

@@ -15,8 +15,8 @@
 //!   (`ServerConfig::reactors`, default 1). Each reactor owns a disjoint
 //!   set of connections and coalesces each tick's `Data` frames (both
 //!   directions, all of its connections) into one
-//!   [`mhhea::gateway::StreamMux::submit_batch`] call on the shared
-//!   worker pool; the per-connection state machine (parse, sequencing,
+//!   [`mhhea::gateway::StreamMux::submit_batch`] call on the reactor's
+//!   own thread; the per-connection state machine (parse, sequencing,
 //!   write-side backpressure) lives in a private transport-agnostic
 //!   module. On disconnect each stream's `MHSS` snapshot parks in a
 //!   store shared across reactors, so a reconnecting client resumes

@@ -7,8 +7,9 @@
 //! connections *share* lives in [`Shared`]:
 //!
 //! - the [`StreamMux`] — internally sharded, every method `&self`, so
-//!   reactors call [`StreamMux::submit_batch`] concurrently and their
-//!   batches interleave safely at shard granularity;
+//!   reactors call [`StreamMux::submit_batch`] concurrently, each on its
+//!   own thread, and their batches interleave safely op by op under the
+//!   shard locks;
 //! - the [`Registry`] (one mutex): parked eviction snapshots and the
 //!   resume-token table. It is touched only on handshakes, rekeys, and
 //!   teardown — never per data frame — so the lock is cold;
@@ -685,24 +686,17 @@ impl Reactor {
             }
         }
 
-        // The tick's entire crypto workload: one submission, one pool job
-        // per busy shard, per-stream errors confined to their slots. (A
+        // The tick's entire crypto workload: one submission, run on this
+        // reactor's thread, per-stream errors confined to their slots. (A
         // tick can hold tickets but no batch when every frame was
         // rejected before touching cipher state.)
         if !tickets.is_empty() {
-            // Results are taken (moved) into their reply frames — block
-            // vectors are several times the plaintext size, so cloning
-            // them here would dominate the reply path.
-            let mut results: Vec<Option<Result<StreamOutput, GatewayError>>> = if batch.is_empty() {
-                Vec::new()
-            } else {
-                shared
-                    .mux
-                    .submit_batch(batch)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            };
+            // Results come back in batch order, which is the order the
+            // submitted tickets were minted in, so each submitted ticket
+            // takes the next one. They are moved into their reply frames —
+            // block vectors are several times the plaintext size, so
+            // cloning them here would dominate the reply path.
+            let mut results = shared.mux.submit_batch(batch).into_iter();
             for ticket in tickets {
                 // Tickets are minted with this tick's enumerate index, so
                 // the lookup cannot miss; `get_mut` keeps a bookkeeping bug
@@ -712,67 +706,51 @@ impl Reactor {
                     continue;
                 };
                 match ticket.outcome {
-                    TicketOutcome::Submitted { index, shape } => {
-                        // Each submitted ticket owns exactly one result
-                        // slot; a missing or already-taken slot is a
-                        // bookkeeping bug, surfaced to the client as an
-                        // engine error rather than a reactor panic.
-                        let Some(result) = results.get_mut(index).and_then(Option::take) else {
-                            debug_assert!(false, "each slot consumed once");
+                    TicketOutcome::Submitted { shape } => match (results.next(), shape) {
+                        (Some(Ok(StreamOutput::Blocks(blocks))), ReplyShape::Seal { bit_len }) => {
+                            conn.push_seal_reply(ticket.stream, ticket.seq, bit_len, &blocks);
+                        }
+                        (Some(Ok(StreamOutput::Plain(plain))), ReplyShape::Open) => {
+                            conn.push_open_reply(ticket.stream, ticket.seq, &plain);
+                        }
+                        (Some(Ok(StreamOutput::Rekeyed { epoch })), ReplyShape::Rekey) => {
+                            // The rotation took: retire the old resume
+                            // token (a snapshot thief must not outlive a
+                            // rekey), restart the sequence space in the
+                            // new epoch, and hand both back in the ack.
+                            let token = {
+                                let mut reg = shared.registry();
+                                let token = reg.fresh_token(&shared.token_rand);
+                                reg.tokens.insert(ticket.stream, token);
+                                token
+                            };
+                            conn.streams.insert(ticket.stream, join_seq(epoch, 0));
+                            ServerStats::bump(&shared.stats.streams_rekeyed);
+                            conn.push_rekey_ack(ticket.stream, ticket.seq, epoch, token);
+                        }
+                        (Some(Err(e)), _) => {
+                            // The one machine-distinguishable failure: a
+                            // rotation racing another rotation.
+                            let code = match e {
+                                GatewayError::StaleEpoch { .. } => ErrorCode::StaleEpoch,
+                                _ => ErrorCode::Engine,
+                            };
+                            conn.push_error(ticket.stream, ticket.seq, code, &e.to_string());
+                        }
+                        (_, _) => {
+                            // The gateway answered a seal with plaintext
+                            // (or vice versa), or returned fewer results
+                            // than it was given ops — an engine bug, not a
+                            // client error, and not worth a thread.
+                            debug_assert!(false, "one result per op, matching its direction");
                             conn.push_error(
                                 ticket.stream,
                                 ticket.seq,
                                 ErrorCode::Engine,
-                                "internal: batch result slot missing",
+                                "internal: reply shape mismatch",
                             );
-                            ServerStats::bump(&shared.stats.frames_sent);
-                            continue;
-                        };
-                        match (result, shape) {
-                            (Ok(StreamOutput::Blocks(blocks)), ReplyShape::Seal { bit_len }) => {
-                                conn.push_seal_reply(ticket.stream, ticket.seq, bit_len, &blocks);
-                            }
-                            (Ok(StreamOutput::Plain(plain)), ReplyShape::Open) => {
-                                conn.push_open_reply(ticket.stream, ticket.seq, &plain);
-                            }
-                            (Ok(StreamOutput::Rekeyed { epoch }), ReplyShape::Rekey) => {
-                                // The rotation took: retire the old resume
-                                // token (a snapshot thief must not outlive a
-                                // rekey), restart the sequence space in the
-                                // new epoch, and hand both back in the ack.
-                                let token = {
-                                    let mut reg = shared.registry();
-                                    let token = reg.fresh_token(&shared.token_rand);
-                                    reg.tokens.insert(ticket.stream, token);
-                                    token
-                                };
-                                conn.streams.insert(ticket.stream, join_seq(epoch, 0));
-                                ServerStats::bump(&shared.stats.streams_rekeyed);
-                                conn.push_rekey_ack(ticket.stream, ticket.seq, epoch, token);
-                            }
-                            (Ok(_), _) => {
-                                // The gateway answered a seal with plaintext
-                                // (or vice versa) — an engine bug, not a
-                                // client error, and not worth a thread.
-                                debug_assert!(false, "op direction matches output variant");
-                                conn.push_error(
-                                    ticket.stream,
-                                    ticket.seq,
-                                    ErrorCode::Engine,
-                                    "internal: reply shape mismatch",
-                                );
-                            }
-                            (Err(e), _) => {
-                                // The one machine-distinguishable failure: a
-                                // rotation racing another rotation.
-                                let code = match e {
-                                    GatewayError::StaleEpoch { .. } => ErrorCode::StaleEpoch,
-                                    _ => ErrorCode::Engine,
-                                };
-                                conn.push_error(ticket.stream, ticket.seq, code, &e.to_string());
-                            }
                         }
-                    }
+                    },
                     TicketOutcome::Rejected { code, detail } => {
                         conn.push_error(ticket.stream, ticket.seq, code, &detail);
                     }

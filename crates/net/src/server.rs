@@ -9,8 +9,9 @@
 //!   generic over the byte stream and ignorant of any loop;
 //! - `reactor` (private) — [`ServerConfig::reactors`] readiness loops,
 //!   each owning a **disjoint** set of connections, each submitting one
-//!   [`StreamMux::submit_batch`] per tick into the shared mux (whose
-//!   per-shard locks make concurrent batches safe);
+//!   [`StreamMux::submit_batch`] per tick into the shared mux, on its
+//!   own thread (the mux's per-shard locks make concurrent batches
+//!   safe);
 //! - this module — configuration, the shared stats, the acceptor that
 //!   shards incoming sockets across reactors round-robin, and the
 //!   run/spawn lifecycle.
@@ -18,8 +19,9 @@
 //! Each reactor tick: drain adopted sockets, read + parse every owned
 //! connection, coalesce *every* parsed `Data` frame — across that
 //! reactor's connections and both directions — into **one**
-//! [`StreamMux::submit_batch`] call (one worker-pool job per busy
-//! shard), route results back into per-connection write buffers, flush.
+//! [`StreamMux::submit_batch`] call, run in batch order on the reactor's
+//! own thread, route results back into per-connection write buffers,
+//! flush. The reactors are the serving path's only parallelism.
 //!
 //! Backpressure is explicit: a connection whose write buffer is over the
 //! configured limit is not read from until it drains, so a client that

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A traffic tick: every stream sends one message; the whole batch is
-    // one submission to the shared worker pool.
+    // one `submit_batch` call, run in order on this thread.
     let messages: Vec<Vec<u8>> = (0..STREAMS)
         .map(|id| format!("tick 0 payload for stream {id}").into_bytes())
         .collect();
